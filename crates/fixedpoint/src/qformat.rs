@@ -179,29 +179,86 @@ impl QFormat {
     /// bits and must be brought back to the activation format.
     // wgft-audit: consensus-critical -- the rescale step of every quantized dot product
     #[must_use]
+    #[inline]
     pub fn requantize_accumulator(&self, acc: i64, acc_frac_bits: u32) -> i32 {
-        let shift = acc_frac_bits as i64 - self.frac_bits as i64;
-        // The rounding arithmetic runs in i128: fault injectors hand this
-        // function accumulators with arbitrary high bits set (including
-        // `i64::MIN`, whose negation does not exist in i64), and the
-        // add-half / negate steps must stay total over the whole i64 domain.
-        let acc = i128::from(acc);
-        let wide = if shift > 0 {
-            // Round to nearest with the usual add-half trick (symmetric for
-            // negative values because of arithmetic shift behaviour on the
-            // magnitude).
-            let half = 1i128 << (shift - 1);
-            if acc >= 0 {
-                (acc + half) >> shift
-            } else {
-                -((-acc + half) >> shift)
-            }
+        let shift = i64::from(acc_frac_bits) - i64::from(self.frac_bits);
+        let value = if (1..64).contains(&shift) {
+            round_shift_right(acc, shift)
         } else {
-            acc << (-shift)
+            rescale_wide(acc, shift)
         };
-        let value = wide.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64;
         saturate(value, self.width)
     }
+
+    /// [`QFormat::requantize_accumulator`] of `a + bias` (a saturating add)
+    /// for every accumulator `a` of `acc`, appended to `out`: the requantize
+    /// of one conv channel. Bit-identical to the element-wise calls; the
+    /// shift is decided once per buffer, so the common right shift runs a
+    /// branch-free loop that vectorizes.
+    // wgft-audit: consensus-critical -- the rescale step of every quantized conv channel
+    pub fn requantize_biased_into(
+        &self,
+        acc: &[i64],
+        bias: i64,
+        acc_frac_bits: u32,
+        out: &mut Vec<i32>,
+    ) {
+        let shift = i64::from(acc_frac_bits) - i64::from(self.frac_bits);
+        if (1..64).contains(&shift) {
+            out.extend(
+                acc.iter().map(|&a| {
+                    saturate(round_shift_right(a.saturating_add(bias), shift), self.width)
+                }),
+            );
+        } else {
+            out.extend(
+                acc.iter()
+                    .map(|&a| self.requantize_accumulator(a.saturating_add(bias), acc_frac_bits)),
+            );
+        }
+    }
+}
+
+/// Shift `acc` right by `shift ∈ 1..64` bits with round-to-nearest (ties
+/// away from zero): [`rescale_wide`]'s arithmetic without i128. The
+/// magnitude rounds in u64 — `|acc| ≤ 2⁶³` and `half ≤ 2⁶²`, so the add-half
+/// cannot overflow and the rounded magnitude stays below 2⁶³ — which keeps
+/// it total over the whole i64 domain and branch-free.
+// wgft-audit: consensus-critical -- the rescale step of every quantized dot product
+#[inline]
+fn round_shift_right(acc: i64, shift: i64) -> i64 {
+    let half = 1u64 << (shift - 1);
+    let magnitude = ((acc.unsigned_abs() + half) >> shift) as i64;
+    let sign = acc >> 63;
+    (magnitude ^ sign) - sign
+}
+
+/// Shift `acc` right by `shift` bits with round-to-nearest (ties away from
+/// zero), or left for a negative `shift`, clamped to the `i64` range.
+///
+/// The arithmetic runs in i128: fault injectors hand the rescale
+/// accumulators with arbitrary high bits set (including `i64::MIN`, whose
+/// negation does not exist in i64), and every step must stay total over the
+/// whole i64 domain. [`QFormat::requantize_accumulator`] takes this path for
+/// left shifts and shifts of 64 bits or more; [`round_shift_right`] is
+/// tested against it.
+// wgft-audit: consensus-critical -- the rescale of faulted accumulators
+fn rescale_wide(acc: i64, shift: i64) -> i64 {
+    let acc = i128::from(acc);
+    let wide = if shift > 0 {
+        // Round to nearest with the usual add-half trick (symmetric for
+        // negative values because of arithmetic shift behaviour on the
+        // magnitude).
+        let half = 1i128 << (shift - 1);
+        if acc >= 0 {
+            (acc + half) >> shift
+        } else {
+            -((-acc + half) >> shift)
+        }
+    } else {
+        acc << (-shift)
+    };
+    wide.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
 }
 
 impl fmt::Display for QFormat {
@@ -301,6 +358,51 @@ mod tests {
             wide.requantize_accumulator(i64::MIN, 2),
             i32::from(i16::MIN)
         );
+    }
+
+    /// The u64 right-shift path must agree with the i128 rescale bit for
+    /// bit over the whole i64 domain, extremes included, at every shift; the
+    /// buffer form must agree with the element-wise calls.
+    #[test]
+    fn u64_rescale_matches_the_wide_rescale() {
+        let mut values = vec![0i64, 1, -1, 2, -2, 3, -3, 384, 392, -392];
+        values.extend((0..4).flat_map(|d| [i64::MAX - d, i64::MIN + d]));
+        for base in [1i64 << 62, 1 << 40, 1 << 20, 1 << 8] {
+            for delta in -3i64..=3 {
+                values.push(base + delta);
+                values.push(-(base + delta));
+            }
+        }
+        values.extend(
+            (0..2000i64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64) >> (i % 60)),
+        );
+        for width in [BitWidth::W8, BitWidth::W16] {
+            for frac in [0u32, 4, 7] {
+                let fmt = QFormat::new(width, frac).unwrap();
+                for acc_frac in [0u32, 1, 2, 8, 16, 30, 62, 63, 64, 70] {
+                    let shift = i64::from(acc_frac) - i64::from(frac);
+                    for &acc in &values {
+                        assert_eq!(
+                            fmt.requantize_accumulator(acc, acc_frac),
+                            saturate(rescale_wide(acc, shift), width),
+                            "{width:?} frac {frac} acc_frac {acc_frac} acc {acc}"
+                        );
+                    }
+                    for bias in [0i64, 5, -(1 << 20), i64::MAX, i64::MIN] {
+                        let mut out = Vec::new();
+                        fmt.requantize_biased_into(&values, bias, acc_frac, &mut out);
+                        let each: Vec<i32> = values
+                            .iter()
+                            .map(|&a| fmt.requantize_accumulator(a.saturating_add(bias), acc_frac))
+                            .collect();
+                        assert_eq!(
+                            out, each,
+                            "{width:?} frac {frac} acc_frac {acc_frac} bias {bias}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1376,7 +1376,8 @@ fn requantize_linear_acc(acc: i64, bias: f32, acc_frac: u32, out_format: QFormat
 }
 
 /// Requantize a conv accumulator buffer, adding the per-channel bias in the
-/// accumulator domain.
+/// accumulator domain. The bias is scaled once per channel, with the same
+/// expression for every pixel of it.
 fn requantize_with_bias(
     acc: &[i64],
     acc_frac: u32,
@@ -1386,13 +1387,13 @@ fn requantize_with_bias(
 ) -> Vec<i32> {
     let scale = (1u64 << acc_frac) as f64;
     let mut out = Vec::with_capacity(acc.len());
-    for (i, &a) in acc.iter().enumerate() {
-        let oc = i / pixels_per_channel.max(1);
+    for (oc, channel) in acc.chunks(pixels_per_channel.max(1)).enumerate() {
         let bias_acc = (f64::from(bias.get(oc).copied().unwrap_or(0.0)) * scale).round() as i64;
-        // Saturating: fault injection can leave `a` near the i64 extremes,
-        // and the bias add must not overflow (clean accumulators sit far
-        // below the saturation region, so this never changes exact results).
-        out.push(out_format.requantize_accumulator(a.saturating_add(bias_acc), acc_frac));
+        // The bias add saturates: fault injection can leave accumulators
+        // near the i64 extremes, and the add must not overflow (clean
+        // accumulators sit far below the saturation region, so this never
+        // changes exact results).
+        out_format.requantize_biased_into(channel, bias_acc, acc_frac, &mut out);
     }
     out
 }

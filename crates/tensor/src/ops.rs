@@ -267,9 +267,10 @@ fn gemm_stripe(
 
 /// Rows per register tile of the integer GEMM microkernel.
 const GEMM_I32_MR: usize = 4;
-/// Columns per register tile of the integer GEMM microkernel: four rows of
-/// eight `i64` accumulator lanes map onto 4×(2×ymm) with AVX2 or 4×zmm with
-/// AVX-512.
+/// Columns per full-width register tile of the integer GEMM microkernel:
+/// four rows of eight `i64` accumulator lanes map onto 4×(2×ymm) with AVX2 or
+/// 4×zmm with AVX-512. Column tails narrower than this take the same kernel at
+/// widths 4, 2 and 1.
 const GEMM_I32_NR: usize = 8;
 
 /// Dense row-major integer matrix multiply on raw slices:
@@ -290,6 +291,11 @@ const GEMM_I32_NR: usize = 8;
 /// bounded by the storage width at ≤ 2¹⁷, leaving headroom for `k` beyond
 /// `2²⁸`).
 ///
+/// The winograd engine puts tiles on `n`, so small feature maps give narrow
+/// products (`n` of 4 tiles is common); their columns run register tiles of
+/// width 4, 2 and 1 rather than a scalar loop. Only tail rows (`m` not a
+/// multiple of `GEMM_I32_MR`) take the scalar loop.
+///
 /// # Panics
 ///
 /// Panics if a slice is shorter than its declared shape.
@@ -305,27 +311,38 @@ pub fn gemm_i32(a: &[i32], b: &[i32], c: &mut [i64], m: usize, k: usize, n: usiz
         let mut i = 0usize;
         while i < m {
             let mr = GEMM_I32_MR.min(m - i);
-            let mut j = 0usize;
-            while j < n {
-                let nr = GEMM_I32_NR.min(n - j);
-                if mr == GEMM_I32_MR && nr == GEMM_I32_NR {
-                    gemm_i32_microkernel(a, b, c, k, n, i, j, pb, kc);
-                } else {
-                    // Tail rows/columns: scalar accumulation over the same
-                    // panel depth.
-                    for r in 0..mr {
-                        let arow = &a[(i + r) * k..(i + r + 1) * k];
-                        let crow = &mut c[(i + r) * n + j..(i + r) * n + j + nr];
-                        for (q, cv) in crow.iter_mut().enumerate() {
-                            let mut acc = *cv;
-                            for p in pb..pb + kc {
-                                acc += i64::from(arow[p]) * i64::from(b[p * n + j + q]);
-                            }
-                            *cv = acc;
+            if mr == GEMM_I32_MR {
+                let mut j = 0usize;
+                while j + GEMM_I32_NR <= n {
+                    gemm_i32_microkernel::<GEMM_I32_NR>(a, b, c, k, n, i, j, pb, kc);
+                    j += GEMM_I32_NR;
+                }
+                // Column tail (fewer than GEMM_I32_NR): at most one tile of
+                // each narrower width.
+                if n - j >= 4 {
+                    gemm_i32_microkernel::<4>(a, b, c, k, n, i, j, pb, kc);
+                    j += 4;
+                }
+                if n - j >= 2 {
+                    gemm_i32_microkernel::<2>(a, b, c, k, n, i, j, pb, kc);
+                    j += 2;
+                }
+                if n - j >= 1 {
+                    gemm_i32_microkernel::<1>(a, b, c, k, n, i, j, pb, kc);
+                }
+            } else {
+                // Tail rows: scalar accumulation over the same panel depth.
+                for r in 0..mr {
+                    let arow = &a[(i + r) * k..(i + r + 1) * k];
+                    let crow = &mut c[(i + r) * n..(i + r + 1) * n];
+                    for (q, cv) in crow.iter_mut().enumerate() {
+                        let mut acc = *cv;
+                        for p in pb..pb + kc {
+                            acc += i64::from(arow[p]) * i64::from(b[p * n + q]);
                         }
+                        *cv = acc;
                     }
                 }
-                j += nr;
             }
             i += mr;
         }
@@ -333,12 +350,12 @@ pub fn gemm_i32(a: &[i32], b: &[i32], c: &mut [i64], m: usize, k: usize, n: usiz
     }
 }
 
-/// The 4×8 integer register tile: widening `i32·i32 → i64` multiplies
+/// The 4×`NR` integer register tile: widening `i32·i32 → i64` multiplies
 /// accumulated in registers, stored back to `c` once per k-block.
 // wgft-audit: consensus-critical -- register tile of the quantized GEMM
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn gemm_i32_microkernel(
+fn gemm_i32_microkernel<const NR: usize>(
     a: &[i32],
     b: &[i32],
     c: &mut [i64],
@@ -349,40 +366,34 @@ fn gemm_i32_microkernel(
     pb: usize,
     kc: usize,
 ) {
-    let mut acc0 = [0i64; GEMM_I32_NR];
-    let mut acc1 = [0i64; GEMM_I32_NR];
-    let mut acc2 = [0i64; GEMM_I32_NR];
-    let mut acc3 = [0i64; GEMM_I32_NR];
-    acc0.copy_from_slice(&c[i * ldc + j..i * ldc + j + GEMM_I32_NR]);
-    acc1.copy_from_slice(&c[(i + 1) * ldc + j..(i + 1) * ldc + j + GEMM_I32_NR]);
-    acc2.copy_from_slice(&c[(i + 2) * ldc + j..(i + 2) * ldc + j + GEMM_I32_NR]);
-    acc3.copy_from_slice(&c[(i + 3) * ldc + j..(i + 3) * ldc + j + GEMM_I32_NR]);
+    let mut acc = [[0i64; NR]; GEMM_I32_MR];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&c[(i + r) * ldc + j..][..NR]);
+    }
     let a0 = &a[i * k..(i + 1) * k];
     let a1 = &a[(i + 1) * k..(i + 2) * k];
     let a2 = &a[(i + 2) * k..(i + 3) * k];
     let a3 = &a[(i + 3) * k..(i + 4) * k];
     for p in pb..pb + kc {
-        let brow: &[i32; GEMM_I32_NR] = b[p * ldc + j..p * ldc + j + GEMM_I32_NR]
+        let brow: &[i32; NR] = b[p * ldc + j..p * ldc + j + NR]
             .try_into()
-            .expect("panel row is GEMM_I32_NR wide");
-        let (av0, av1, av2, av3) = (
+            .expect("panel row is NR wide");
+        let av = [
             i64::from(a0[p]),
             i64::from(a1[p]),
             i64::from(a2[p]),
             i64::from(a3[p]),
-        );
-        for q in 0..GEMM_I32_NR {
+        ];
+        for q in 0..NR {
             let bv = i64::from(brow[q]);
-            acc0[q] += av0 * bv;
-            acc1[q] += av1 * bv;
-            acc2[q] += av2 * bv;
-            acc3[q] += av3 * bv;
+            for (row, &ar) in acc.iter_mut().zip(av.iter()) {
+                row[q] += ar * bv;
+            }
         }
     }
-    c[i * ldc + j..i * ldc + j + GEMM_I32_NR].copy_from_slice(&acc0);
-    c[(i + 1) * ldc + j..(i + 1) * ldc + j + GEMM_I32_NR].copy_from_slice(&acc1);
-    c[(i + 2) * ldc + j..(i + 2) * ldc + j + GEMM_I32_NR].copy_from_slice(&acc2);
-    c[(i + 3) * ldc + j..(i + 3) * ldc + j + GEMM_I32_NR].copy_from_slice(&acc3);
+    for (r, row) in acc.iter().enumerate() {
+        c[(i + r) * ldc + j..][..NR].copy_from_slice(row);
+    }
 }
 
 /// The 4×8 register tile: loads `c`, streams one `b` panel row per `p`, and
@@ -725,6 +736,28 @@ mod tests {
                 naive_gemm_i32(&a, &b, m, k, n),
                 "gemm_i32 diverged at m={m} k={k} n={n}"
             );
+        }
+    }
+
+    /// Every column count from one register tile down (the 8-, 4-, 2- and
+    /// 1-wide tiles and their combinations), against tail and full row
+    /// counts and depths of one element, an odd depth and more than one
+    /// k-block.
+    #[test]
+    fn gemm_i32_matches_naive_for_every_narrow_width() {
+        for n in 1..=9usize {
+            for m in [1usize, 4, 7, 8, 33] {
+                for k in [1usize, 31, GEMM_KC + 5] {
+                    let (a, b) = gemm_i32_fixture(m, k, n);
+                    let mut c = vec![i64::MIN; m * n];
+                    gemm_i32(&a, &b, &mut c, m, k, n);
+                    assert_eq!(
+                        c,
+                        naive_gemm_i32(&a, &b, m, k, n),
+                        "gemm_i32 diverged at m={m} k={k} n={n}"
+                    );
+                }
+            }
         }
     }
 

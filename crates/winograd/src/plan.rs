@@ -118,11 +118,28 @@ impl WinogradPlan {
         channel: usize,
         out: &mut [T],
     ) {
+        self.load_tile_at(
+            input,
+            tile / self.tiles_x,
+            tile % self.tiles_x,
+            channel,
+            out,
+        );
+    }
+
+    /// [`WinogradPlan::load_tile`] for the tile at grid row `ty`, column
+    /// `tx`.
+    pub(crate) fn load_tile_at<T: Copy + Default>(
+        &self,
+        input: &[T],
+        ty: usize,
+        tx: usize,
+        channel: usize,
+        out: &mut [T],
+    ) {
         let g = &self.shape.geometry;
         let t = self.variant.input_tile();
         let m = self.variant.output_tile();
-        let ty = tile / self.tiles_x;
-        let tx = tile % self.tiles_x;
         let pad = g.padding as isize;
         let base_y = (ty * m) as isize - pad;
         let base_x = (tx * m) as isize - pad;
@@ -500,9 +517,10 @@ impl PreparedConvF32 {
             }
             // No image chunks to fan out: parallelize across the block's t²
             // independent GEMMs instead (the low-latency single-image path).
-            let parallel_gemms = !self.deterministic
-                && rayon::current_num_threads() > 1
-                && o * c * bp >= PAR_GEMM_MIN_BLOCK;
+            // The work-size test first: it is free, the thread count is not.
+            let parallel_gemms = o * c * bp >= PAR_GEMM_MIN_BLOCK
+                && !self.deterministic
+                && rayon::current_num_threads() > 1;
             run_images_f32(
                 &self.plan,
                 &self.u,

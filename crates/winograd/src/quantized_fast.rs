@@ -46,6 +46,14 @@ use wgft_tensor::gemm_i32;
 /// (`< 2¹⁶`), leaving ample headroom for every tile size.
 pub const MAX_FAST_INPUT: i32 = 1 << 24;
 
+/// Minimum `O·C·bp` MACs per winograd-coordinate GEMM before one block's t²
+/// GEMMs fan out across the rayon pool. Measured on a shared 2-CPU x86-64
+/// box (AVX-512): that fan-out spawns workers once per block, and it lost to
+/// the serial GEMMs at 2.6·10⁵ MACs and below and won from 5.2·10⁵. Whole
+/// image chunks fan out once per call and pay off sooner; they use
+/// [`PAR_GEMM_MIN_BLOCK`].
+const PAR_GEMM_BLOCK_MIN_MACS: usize = 1 << 19;
+
 /// Fault-free value maxima observed during one
 /// [`PreparedConvQuantizedFast::execute_into_recording`] call — exactly the
 /// winograd-stage quantities the executable ABFT range calibration records
@@ -237,11 +245,11 @@ impl PreparedConvQuantizedFast {
     /// images, writing `(N, O, H', W')` accumulators to `output`.
     ///
     /// All `N·P` tiles share the scatter→GEMM→gather schedule (tile blocks
-    /// span image boundaries); with a multi-thread rayon pool the batch
-    /// splits into image-aligned chunks with worker-local scratch. Because
-    /// the kernel is exact integer arithmetic, results are bit-identical to
-    /// `n_images` single-image executions for every chunking and thread
-    /// count.
+    /// span image boundaries); with a multi-thread rayon pool and enough work
+    /// per chunk the batch splits into image-aligned chunks with worker-local
+    /// scratch. Because the kernel is exact integer arithmetic, results are
+    /// bit-identical to `n_images` single-image executions for every chunking
+    /// and thread count.
     ///
     /// # Errors
     ///
@@ -258,14 +266,30 @@ impl PreparedConvQuantizedFast {
         if n_images == 0 {
             return Ok(());
         }
-        let threads = rayon::current_num_threads();
-        let chunk = if threads <= 1 {
-            n_images
-        } else {
-            n_images.div_ceil(threads)
-        };
+        let chunk = self.images_per_chunk(n_images);
         self.execute_batch_chunked(input, n_images, output, chunk, None);
         Ok(())
+    }
+
+    /// Images per parallel chunk of an `n_images` batch. The batch splits
+    /// across the pool only when every chunk's per-coordinate GEMM
+    /// (`O·C·tiles` MACs) clears [`PAR_GEMM_MIN_BLOCK`]: below it, spawning a
+    /// worker per chunk costs more than the chunk's work, so small batches
+    /// of small images run serially (on the box [`PAR_GEMM_BLOCK_MIN_MACS`]
+    /// was measured on, chunk fan-out won from that bar up). Returns
+    /// `n_images` for the serial schedule.
+    fn images_per_chunk(&self, n_images: usize) -> usize {
+        let shape = self.plan.shape();
+        let macs_per_image =
+            (shape.out_channels * shape.in_channels * self.plan.num_tiles()).max(1);
+        let min_chunk = PAR_GEMM_MIN_BLOCK.div_ceil(macs_per_image);
+        // The work-size test first: it is free, the thread count is not.
+        if 2 * min_chunk > n_images {
+            return n_images;
+        }
+        n_images
+            .div_ceil(rayon::current_num_threads())
+            .max(min_chunk)
     }
 
     fn validate_batch(
@@ -323,8 +347,10 @@ impl PreparedConvQuantizedFast {
             let bp = self.block_for(n_images * self.plan.num_tiles());
             grow(&mut self.v, t2 * c * bp);
             grow(&mut self.prod, t2 * o * bp);
-            let parallel_gemms =
-                rayon::current_num_threads() > 1 && o * c * bp >= PAR_GEMM_MIN_BLOCK;
+            // The work-size test first: it is free, the thread count is not.
+            let parallel_gemms = o * c * bp >= PAR_GEMM_BLOCK_MIN_MACS
+                && record.is_none()
+                && rayon::current_num_threads() > 1;
             run_images_q(
                 &self.plan,
                 &self.u,
@@ -334,7 +360,7 @@ impl PreparedConvQuantizedFast {
                 input,
                 n_images,
                 output,
-                parallel_gemms && record.is_none(),
+                parallel_gemms,
                 record,
             );
             return;
@@ -388,56 +414,38 @@ fn run_images_q(
     let (o, c) = (shape.out_channels, shape.in_channels);
     let (in_len, out_len) = (shape.input_len(), shape.output_len());
     let variant = plan.variant();
-    let t = variant.input_tile();
-    let m = variant.output_tile();
-    let t2 = t * t;
-    let p = plan.num_tiles();
-    let total_tiles = n_images * p;
-    let (out_h, out_w) = (shape.geometry.out_h(), shape.geometry.out_w());
+    let t2 = variant.input_tile() * variant.input_tile();
+    let total_tiles = n_images * plan.num_tiles();
     let bt = variant.bt();
     let at = variant.at();
-
-    let mut tile_d = [0i32; MAX_TILE];
-    let mut tile_d64 = [0i64; MAX_TILE];
-    let mut tile_tmp = [0i64; MAX_TILE];
-    let mut tile_tmp2 = [0i64; MAX_TILE];
-    let mut tile_y = [0i64; MAX_TILE];
+    let mut soa = SoaScratch::new();
 
     let mut block_start = 0usize;
     while block_start < total_tiles {
         let bp = block.min(total_tiles - block_start);
 
         // ---- Scatter: V[k][ic][b] = (Bᵀ d B)[k] for every tile/channel of
-        // the block, tile-innermost so the t² destination streams are
-        // written sequentially. Full groups of SOA_GROUP tiles take the
-        // lane-per-tile runtime-t kernel (i32 adds and mul-adds, exact under
-        // the input bound); ragged tails take the per-tile path in i64 with
-        // an exact narrowing store.
-        for ic in 0..c {
-            let mut b = 0usize;
-            while b < bp {
-                if b + SOA_GROUP <= bp {
-                    scatter_group_q(plan, input, in_len, block_start + b, ic, v, c, bp, b, bt);
-                    b += SOA_GROUP;
-                    continue;
-                }
-                let g = block_start + b;
-                let image_input = &input[(g / p) * in_len..(g / p + 1) * in_len];
-                plan.load_tile(image_input, g % p, ic, &mut tile_d[..t2]);
-                for (wide, &narrow) in tile_d64[..t2].iter_mut().zip(tile_d[..t2].iter()) {
-                    *wide = i64::from(narrow);
-                }
-                // tmp = Bᵀ d, v = tmp B (B = Bᵀᵀ).
-                int_mat_mul_left(bt, &tile_d64, &mut tile_tmp, t, t, t);
-                int_mat_mul_rt(bt, &tile_tmp, &mut tile_tmp2, t, t, t);
-                for (k, &value) in tile_tmp2[..t2].iter().enumerate() {
-                    debug_assert!(
-                        i32::try_from(value).is_ok(),
-                        "winograd-domain value {value} exceeds i32"
-                    );
-                    v[(k * c + ic) * bp + b] = value as i32;
-                }
-                b += 1;
+        // the block. Tiles run in lane-per-tile groups of up to SOA_GROUP
+        // (i32 adds and mul-adds, exact under the input bound), each group
+        // writing its tiles contiguously into the t² destination rows; a
+        // ragged last group masks its unused lanes.
+        for b in (0..bp).step_by(SOA_GROUP) {
+            let lanes = SOA_GROUP.min(bp - b);
+            let tiles = group_tiles(plan, block_start + b, lanes);
+            for ic in 0..c {
+                scatter_group_q(
+                    plan,
+                    input,
+                    in_len,
+                    &tiles[..lanes],
+                    ic,
+                    v,
+                    c,
+                    bp,
+                    b,
+                    bt,
+                    &mut soa,
+                );
             }
         }
         if let Some(record) = record.as_deref_mut() {
@@ -493,39 +501,24 @@ fn run_images_q(
         }
 
         // ---- Gather: inverse-transform each (oc, tile) fibre, tile
-        // innermost; full groups use the lane-per-tile runtime-t i64 kernel.
-        for oc in 0..o {
-            let mut b = 0usize;
-            while b < bp {
-                if b + SOA_GROUP <= bp {
-                    gather_group_q(
-                        plan,
-                        prod,
-                        o,
-                        bp,
-                        oc,
-                        b,
-                        block_start + b,
-                        out_len,
-                        output,
-                        at,
-                    );
-                    b += SOA_GROUP;
-                    continue;
-                }
-                let g = block_start + b;
-                let tile = g % p;
-                let out_base = (g / p) * out_len;
-                let ty = tile / plan.tiles_x();
-                let tx = tile % plan.tiles_x();
-                for (k, value) in tile_tmp2[..t2].iter_mut().enumerate() {
-                    *value = prod[(k * o + oc) * bp + b];
-                }
-                // tmp = Aᵀ M, y = tmp A (A = Aᵀᵀ).
-                int_mat_mul_left(at, &tile_tmp2, &mut tile_tmp, m, t, t);
-                int_mat_mul_rt(at, &tile_tmp, &mut tile_y, m, t, m);
-                store_output_tile(output, out_base, &tile_y, oc, ty, tx, m, out_h, out_w);
-                b += 1;
+        // innermost, in masked lane-per-tile groups like the scatter.
+        for b in (0..bp).step_by(SOA_GROUP) {
+            let lanes = SOA_GROUP.min(bp - b);
+            let tiles = group_tiles(plan, block_start + b, lanes);
+            for oc in 0..o {
+                gather_group_q(
+                    plan,
+                    prod,
+                    o,
+                    bp,
+                    oc,
+                    b,
+                    &tiles[..lanes],
+                    out_len,
+                    output,
+                    at,
+                    &mut soa,
+                );
             }
         }
 
@@ -536,7 +529,9 @@ fn run_images_q(
 /// `out (rows×cols) = coef (rows×inner) · data (inner×cols)` on plain
 /// integer arithmetic — the uninstrumented twin of
 /// [`crate::integer_transform`] with [`crate::MatrixSide::Left`]; exact
-/// integer sums, so the results are identical.
+/// integer sums, so the results are identical. The per-tile reference the
+/// lane-per-tile transforms are tested against.
+#[cfg(test)]
 fn int_mat_mul_left(
     coef: &[i32],
     data: &[i64],
@@ -559,6 +554,7 @@ fn int_mat_mul_left(
 /// `out (rows×cols) = data (rows×inner) · coefᵀ` with `coef (cols×inner)` —
 /// the uninstrumented twin of [`crate::integer_transform`] with
 /// [`crate::MatrixSide::RightTransposed`].
+#[cfg(test)]
 fn int_mat_mul_rt(
     coef: &[i32],
     data: &[i64],
@@ -581,7 +577,7 @@ fn int_mat_mul_rt(
 /// Lane-wise `acc += coef · src` in `i32`, specialized on the coefficient:
 /// transform matrices are dominated by 0/±1 entries, so most terms are a
 /// skipped column, a vector add or a vector subtract. Integer arithmetic is
-/// exact, so this is bit-identical to the per-tile i64 path under the
+/// exact, so this is bit-identical to a per-tile i64 transform under the
 /// [`WinogradVariant::max_fast_input`] bound (which keeps every intermediate
 /// in i32 range).
 #[inline]
@@ -629,40 +625,101 @@ fn lane_axpy_i64(acc: &mut [i64; SOA_GROUP], coef: i64, src: &[i64; SOA_GROUP]) 
     }
 }
 
-/// Input transform `Bᵀ d B` for [`SOA_GROUP`] consecutive tiles of one
-/// channel, lane-per-tile in `i32` at any tile size. Identical arithmetic to
-/// the per-tile path — integer ops are exact, so the results are
-/// bit-identical.
+/// Where one tile of a block sits: its image in the batch and its row and
+/// column in the tile grid.
+#[derive(Debug, Clone, Copy, Default)]
+struct TilePos {
+    image: usize,
+    ty: usize,
+    tx: usize,
+}
+
+/// Positions of the `lanes` consecutive tiles from block-global tile `g0`
+/// (tiles run row-major through each image, then on to the next image),
+/// found once per group rather than by division per tile and channel.
+fn group_tiles(plan: &WinogradPlan, g0: usize, lanes: usize) -> [TilePos; SOA_GROUP] {
+    let p = plan.num_tiles();
+    let tiles_x = plan.tiles_x();
+    let mut tiles = [TilePos::default(); SOA_GROUP];
+    let mut pos = TilePos {
+        image: g0 / p,
+        ty: (g0 % p) / tiles_x,
+        tx: (g0 % p) % tiles_x,
+    };
+    for slot in &mut tiles[..lanes] {
+        *slot = pos;
+        pos.tx += 1;
+        if pos.tx == tiles_x {
+            pos.tx = 0;
+            pos.ty += 1;
+            if pos.ty * tiles_x == p {
+                pos.ty = 0;
+                pos.image += 1;
+            }
+        }
+    }
+    tiles
+}
+
+/// Lane-per-tile rows of the scatter and gather transforms, one row per
+/// tile position. Built once per [`run_images_q`] call rather than zeroed
+/// per group: every group writes each row it reads, and zero-fills the
+/// unused lanes of a ragged group.
+struct SoaScratch {
+    d: [[i32; SOA_GROUP]; MAX_TILE],
+    d_tmp: [[i32; SOA_GROUP]; MAX_TILE],
+    m: [[i64; SOA_GROUP]; MAX_TILE],
+    m_tmp: [[i64; SOA_GROUP]; MAX_TILE],
+    y: [[i64; SOA_GROUP]; MAX_TILE],
+}
+
+impl SoaScratch {
+    fn new() -> Self {
+        Self {
+            d: [[0; SOA_GROUP]; MAX_TILE],
+            d_tmp: [[0; SOA_GROUP]; MAX_TILE],
+            m: [[0; SOA_GROUP]; MAX_TILE],
+            m_tmp: [[0; SOA_GROUP]; MAX_TILE],
+            y: [[0; SOA_GROUP]; MAX_TILE],
+        }
+    }
+}
+
+/// Input transform `Bᵀ d B` for one channel of the (at most [`SOA_GROUP`])
+/// `tiles`, lane-per-tile in `i32` at any tile size. Unused lanes are
+/// zero-filled and never stored. Integer ops are exact, so the results are
+/// bit-identical to a per-tile transform.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn scatter_group_q(
     plan: &WinogradPlan,
     input: &[i32],
     in_len: usize,
-    g0: usize,
+    tiles: &[TilePos],
     ic: usize,
     v: &mut [i32],
     c: usize,
     bp: usize,
     b0: usize,
     bt: &[i32],
+    soa: &mut SoaScratch,
 ) {
-    let p = plan.num_tiles();
+    let lanes = tiles.len();
     let t = plan.variant().input_tile();
     let t2 = t * t;
-    let mut dsoa = [[0i32; SOA_GROUP]; MAX_TILE];
+    let (dsoa, tmp) = (&mut soa.d, &mut soa.d_tmp);
     let mut tile_d = [0i32; MAX_TILE];
-    #[allow(clippy::needless_range_loop)] // `gi` is the SoA lane, not a row
-    for gi in 0..SOA_GROUP {
-        let g = g0 + gi;
-        let image_input = &input[(g / p) * in_len..(g / p + 1) * in_len];
-        plan.load_tile(image_input, g % p, ic, &mut tile_d[..t2]);
+    for (gi, tile) in tiles.iter().enumerate() {
+        let image_input = &input[tile.image * in_len..(tile.image + 1) * in_len];
+        plan.load_tile_at(image_input, tile.ty, tile.tx, ic, &mut tile_d[..t2]);
         for (pos, &value) in tile_d[..t2].iter().enumerate() {
             dsoa[pos][gi] = value;
         }
     }
+    for row in &mut dsoa[..t2] {
+        row[lanes..].fill(0);
+    }
     // tmp = Bᵀ d, lane-wise: tmp[i][j] = Σ_k Bᵀ[i][k] · d[k][j].
-    let mut tmp = [[0i32; SOA_GROUP]; MAX_TILE];
     for i in 0..t {
         for j in 0..t {
             let mut acc = [0i32; SOA_GROUP];
@@ -680,14 +737,14 @@ fn scatter_group_q(
             for k in 0..t {
                 lane_axpy_i32(&mut acc, bt[j * t + k], &tmp[i * t + k]);
             }
-            v[((i * t + j) * c + ic) * bp + b0..][..SOA_GROUP].copy_from_slice(&acc);
+            v[((i * t + j) * c + ic) * bp + b0..][..lanes].copy_from_slice(&acc[..lanes]);
         }
     }
 }
 
-/// Output transform `Aᵀ m A` for [`SOA_GROUP`] consecutive tiles of one
-/// output channel, lane-per-tile in `i64` at any tile size. Identical
-/// arithmetic to the per-tile path.
+/// Output transform `Aᵀ m A` for one output channel of the (at most
+/// [`SOA_GROUP`]) `tiles`, lane-per-tile in `i64` at any tile size. Unused
+/// lanes are zero-filled and never stored.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn gather_group_q(
@@ -697,23 +754,24 @@ fn gather_group_q(
     bp: usize,
     oc: usize,
     b0: usize,
-    g0: usize,
+    tiles: &[TilePos],
     out_len: usize,
     output: &mut [i64],
     at: &[i32],
+    soa: &mut SoaScratch,
 ) {
-    let p = plan.num_tiles();
+    let lanes = tiles.len();
     let g = plan.shape().geometry;
     let (out_h, out_w) = (g.out_h(), g.out_w());
     let t = plan.variant().input_tile();
     let m = plan.variant().output_tile();
     let t2 = t * t;
-    let mut msoa = [[0i64; SOA_GROUP]; MAX_TILE];
-    for (k, row) in msoa.iter_mut().enumerate().take(t2) {
-        row.copy_from_slice(&prod[(k * o + oc) * bp + b0..][..SOA_GROUP]);
+    let (msoa, tmp, ysoa) = (&mut soa.m, &mut soa.m_tmp, &mut soa.y);
+    for (k, row) in msoa[..t2].iter_mut().enumerate() {
+        row[..lanes].copy_from_slice(&prod[(k * o + oc) * bp + b0..][..lanes]);
+        row[lanes..].fill(0);
     }
     // tmp = Aᵀ m (m×t rows), lane-wise.
-    let mut tmp = [[0i64; SOA_GROUP]; MAX_TILE];
     for i in 0..m {
         for j in 0..t {
             let mut acc = [0i64; SOA_GROUP];
@@ -724,7 +782,6 @@ fn gather_group_q(
         }
     }
     // y = tmp A (m×m), lane-wise.
-    let mut ysoa = [[0i64; SOA_GROUP]; MAX_TILE];
     for i in 0..m {
         for j in 0..m {
             let mut acc = [0i64; SOA_GROUP];
@@ -735,23 +792,17 @@ fn gather_group_q(
         }
     }
     let mut tile_y = [0i64; MAX_TILE];
-    #[allow(clippy::needless_range_loop)] // `gi` is the SoA lane, not a row
-    for gi in 0..SOA_GROUP {
-        let gt = g0 + gi;
-        let tile = gt % p;
-        let out_base = (gt / p) * out_len;
-        let ty = tile / plan.tiles_x();
-        let tx = tile % plan.tiles_x();
+    for (gi, tile) in tiles.iter().enumerate() {
         for (pos, value) in tile_y[..m * m].iter_mut().enumerate() {
             *value = ysoa[pos][gi];
         }
         store_output_tile(
             output,
-            out_base,
+            tile.image * out_len,
             &tile_y[..m * m],
             oc,
-            ty,
-            tx,
+            tile.ty,
+            tile.tx,
             m,
             out_h,
             out_w,
@@ -811,6 +862,52 @@ mod tests {
                         // Scratch reuse across images must not leak state.
                         let again = fast.execute(&input).unwrap();
                         assert_eq!(out, again);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every tiles-per-block count from one to past two full SoA groups —
+    /// so full groups, masked ragged groups and both together — must match
+    /// the instrumented kernel on exact arithmetic: one image with that many
+    /// tiles in a row, and a batch of that many one-tile images.
+    #[test]
+    fn every_tiles_per_block_count_matches_instrumented() {
+        let (in_c, out_c) = (2usize, 3usize);
+        for variant in [F2X2_3X3, F4X4_3X3, F6X6_3X3] {
+            let m = variant.output_tile();
+            let weights = weights_for(variant, out_c, in_c);
+            for tiles in 1..=2 * SOA_GROUP + 1 {
+                // One tile: an m×m output (same-padded, so input = output).
+                let single = ConvGeometry::square(m, 3, 1, 1);
+                // A row of `tiles` tiles whose last one is ragged, so border
+                // stores are covered too.
+                let row = ConvGeometry {
+                    in_w: tiles * m - 1,
+                    ..single
+                };
+                for (geometry, n) in [(row, 1usize), (single, tiles)] {
+                    let shape = ConvShape::new(in_c, out_c, geometry);
+                    let mut fast = PreparedConvQuantizedFast::new(&weights, &shape).unwrap();
+                    assert_eq!(fast.plan().num_tiles() * n, tiles);
+                    let batch: Vec<i32> = (0..n).flat_map(|img| input_for(&shape, img)).collect();
+                    let out = fast.execute_batch(&batch, n).unwrap();
+                    for img in 0..n {
+                        let input = &batch[img * shape.input_len()..][..shape.input_len()];
+                        let reference = winograd_conv_quantized(
+                            &mut ExactArithmetic::new(),
+                            0,
+                            input,
+                            &weights,
+                            &shape,
+                        )
+                        .unwrap();
+                        assert_eq!(
+                            reference,
+                            &out[img * shape.output_len()..][..shape.output_len()],
+                            "{variant} {tiles} tiles, {n} image(s), image {img}"
+                        );
                     }
                 }
             }
