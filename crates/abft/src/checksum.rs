@@ -310,8 +310,7 @@ fn checked_gemv_verify<A: Arithmetic>(
 }
 
 /// Verify (and repair) an `f32` GEMM product that was computed by the fast
-/// planned engine and possibly corrupted by a
-/// [`wgft_faultsim::GemmFaultInjector`].
+/// planned engine and possibly corrupted by a soft error.
 ///
 /// The invariant comparisons run in `f64` against a tolerance derived from
 /// the actual operand magnitudes: the worst-case rounding error of a

@@ -14,8 +14,8 @@ use wgft_fixedpoint::BitWidth;
 use wgft_tensor::{gemm_f32, gemm_f32_det, par_gemm_f32, ConvGeometry};
 use wgft_winograd::{
     direct_conv_f32, direct_conv_quantized, transform_weights_f32, winograd_conv_f32_reference,
-    winograd_conv_quantized, ConvShape, PreparedConvF32, PreparedConvQuantized,
-    PreparedConvQuantizedFast, WinogradVariant, WinogradWeights,
+    winograd_conv_quantized, winograd_conv_quantized_with_scratch, ConvShape, PreparedConvF32,
+    PreparedConvQuantizedFast, WinogradScratch, WinogradVariant, WinogradWeights,
 };
 
 /// Sample count for one benchmark, honouring the CI smoke mode
@@ -78,10 +78,20 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
     group.bench_function("winograd_exact_prepared", |b| {
-        let mut prepared = PreparedConvQuantized::new(wino.clone(), &shape).unwrap();
+        let mut scratch = WinogradScratch::new();
         b.iter(|| {
             let mut arith = ExactArithmetic::new();
-            black_box(prepared.execute(&mut arith, 0, &input).unwrap())
+            black_box(
+                winograd_conv_quantized_with_scratch(
+                    &mut arith,
+                    0,
+                    &input,
+                    &wino,
+                    &shape,
+                    &mut scratch,
+                )
+                .unwrap(),
+            )
         })
     });
     group.bench_function("direct_faulty_1e-6", |b| {
@@ -212,10 +222,20 @@ fn bench_quantized_fast(c: &mut Criterion) {
     let mut group = c.benchmark_group("quantized_fast_vs_instrumented");
     group.sample_size(samples(15));
     group.bench_function("instrumented_prepared", |b| {
-        let mut prepared = PreparedConvQuantized::new(wino.clone(), &shape).unwrap();
+        let mut scratch = WinogradScratch::new();
         b.iter(|| {
             let mut arith = ExactArithmetic::new();
-            black_box(prepared.execute(&mut arith, 0, &input).unwrap())
+            black_box(
+                winograd_conv_quantized_with_scratch(
+                    &mut arith,
+                    0,
+                    &input,
+                    &wino,
+                    &shape,
+                    &mut scratch,
+                )
+                .unwrap(),
+            )
         })
     });
     group.bench_function("fast_prepared", |b| {

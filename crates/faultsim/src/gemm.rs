@@ -1,13 +1,13 @@
-//! Fault hooks for GEMM output buffers: attack the *fast planned* winograd
-//! path, not just the scalar instrumented kernel.
+//! Output-latch fault hooks for the fast quantized engine's wide
+//! accumulators.
 //!
 //! The instrumented datapath ([`crate::FaultyArithmetic`]) corrupts every
-//! primitive operation, but the planned scatter–GEMM–gather engine runs on
-//! plain `f32` kernels that never touch an [`crate::Arithmetic`] backend.
-//! [`GemmFaultInjector`] models soft errors striking a matrix engine's
-//! output latches instead: each element of a freshly produced GEMM product
-//! flips a uniformly chosen bit of its 32-bit word with probability
-//! `1 - (1 - BER)^32`, using the same geometric gap sampling as the
+//! primitive operation, but the fast quantized path (planned winograd and
+//! im2col GEMMs over `i32` operands) never touches an
+//! [`crate::Arithmetic`] backend. [`GemmFaultInjector`] models soft errors
+//! striking a matrix engine's output latches instead: each freshly produced
+//! `i64` accumulator flips a uniformly chosen bit with probability
+//! `1 - (1 - BER)^bits`, using the same geometric gap sampling as the
 //! operation-level injector so the common no-fault path is a single counter
 //! decrement per element.
 
@@ -15,8 +15,7 @@ use crate::BitErrorRate;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Bit-flip injector for GEMM output buffers (`f32` words or `i64` wide
-/// accumulators).
+/// Bit-flip injector for wide (`i64`) GEMM accumulator buffers.
 #[derive(Debug, Clone)]
 pub struct GemmFaultInjector {
     ber: BitErrorRate,
@@ -28,17 +27,10 @@ pub struct GemmFaultInjector {
 }
 
 impl GemmFaultInjector {
-    /// An injector for 32-bit output words with a deterministic seed.
-    #[must_use]
-    pub fn new(ber: BitErrorRate, seed: u64) -> Self {
-        Self::new_for_bits(ber, 32, seed)
-    }
-
     /// An injector whose per-element strike probability is
-    /// `1 - (1 - BER)^bits` — pick `bits` to match the width of the output
-    /// latch being attacked (32 for `f32` GEMMs via [`Self::corrupt`], 64
-    /// for the quantized engine's `i64` accumulators via
-    /// [`Self::corrupt_i64`]).
+    /// `1 - (1 - BER)^bits`, with a deterministic seed. Pick `bits` to match
+    /// the width of the output latch being attacked: 64 covers the
+    /// quantized engine's full `i64` accumulators.
     #[must_use]
     pub fn new_for_bits(ber: BitErrorRate, bits: u32, seed: u64) -> Self {
         let bits = bits.clamp(1, 64);
@@ -67,22 +59,10 @@ impl GemmFaultInjector {
         self.faults
     }
 
-    /// Corrupt an `f32` GEMM output buffer in place; returns how many
+    /// Corrupt an `i64` accumulator buffer in place; returns how many
     /// elements were struck. Deterministic given the construction seed and
-    /// the sequence of buffer lengths — independent of the values themselves.
-    pub fn corrupt(&mut self, out: &mut [f32]) -> u64 {
-        let bits = self.bits.min(32);
-        self.walk(out.len(), |index, rng| {
-            let bit = rng.gen_range(0..bits);
-            out[index] = f32::from_bits(out[index].to_bits() ^ (1 << bit));
-        })
-    }
-
-    /// Corrupt an `i64` accumulator buffer in place — the output-latch
-    /// fault model applied to the quantized engine's wide accumulators
-    /// (construct with [`Self::new_for_bits`]`(ber, 64, seed)` so the
-    /// per-element probability covers the full word). Same determinism
-    /// contract as [`Self::corrupt`].
+    /// the sequence of buffer lengths — independent of the values
+    /// themselves.
     pub fn corrupt_i64(&mut self, out: &mut [i64]) -> u64 {
         let bits = self.bits;
         self.walk(out.len(), |index, rng| {
@@ -142,21 +122,21 @@ mod tests {
 
     #[test]
     fn zero_ber_never_corrupts() {
-        let mut injector = GemmFaultInjector::new(BitErrorRate::ZERO, 1);
-        let mut buf = vec![1.5f32; 4096];
-        assert_eq!(injector.corrupt(&mut buf), 0);
-        assert!(buf.iter().all(|&v| v == 1.5));
+        let mut injector = GemmFaultInjector::new_for_bits(BitErrorRate::ZERO, 32, 1);
+        let mut buf = vec![3i64; 4096];
+        assert_eq!(injector.corrupt_i64(&mut buf), 0);
+        assert!(buf.iter().all(|&v| v == 3));
         assert_eq!(injector.faults_injected(), 0);
         assert_eq!(injector.ber(), BitErrorRate::ZERO);
     }
 
     #[test]
     fn certain_ber_corrupts_every_element() {
-        let mut injector = GemmFaultInjector::new(BitErrorRate::new(1.0), 2);
-        let mut buf = vec![1.0f32; 64];
-        assert_eq!(injector.corrupt(&mut buf), 64);
+        let mut injector = GemmFaultInjector::new_for_bits(BitErrorRate::new(1.0), 64, 2);
+        let mut buf = vec![1i64; 64];
+        assert_eq!(injector.corrupt_i64(&mut buf), 64);
         assert!(
-            buf.iter().all(|&v| v != 1.0),
+            buf.iter().all(|&v| v != 1),
             "a flipped bit always changes the word"
         );
     }
@@ -164,14 +144,14 @@ mod tests {
     #[test]
     fn fault_count_matches_expectation_statistically() {
         let ber = BitErrorRate::new(1e-4);
-        let p = ber.fault_probability(32);
-        let mut injector = GemmFaultInjector::new(ber, 3);
+        let p = ber.fault_probability(64);
+        let mut injector = GemmFaultInjector::new_for_bits(ber, 64, 3);
         let n = 400_000usize;
-        let mut buf = vec![0.25f32; 4096];
+        let mut buf = vec![25i64; 4096];
         let mut total = 0u64;
         for _ in 0..n / buf.len() {
-            total += injector.corrupt(&mut buf);
-            buf.fill(0.25);
+            total += injector.corrupt_i64(&mut buf);
+            buf.fill(25);
         }
         let expected = p * n as f64;
         let sigma = expected.sqrt();
@@ -183,27 +163,25 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed_and_independent_of_values() {
-        let run = |seed: u64, fill: f32| {
-            let mut injector = GemmFaultInjector::new(BitErrorRate::new(5e-3), seed);
+        // A narrower latch (32 bits) keeps every strike in the low word.
+        let run = |seed: u64, fill: i64| {
+            let mut injector = GemmFaultInjector::new_for_bits(BitErrorRate::new(5e-3), 32, seed);
             let mut struck_at = Vec::new();
             for round in 0..8 {
                 let mut buf = vec![fill; 257];
-                injector.corrupt(&mut buf);
+                injector.corrupt_i64(&mut buf);
                 for (i, &v) in buf.iter().enumerate() {
                     if v != fill {
+                        assert_eq!((v ^ fill) as u64 >> 32, 0, "strike outside the latch");
                         struck_at.push((round, i));
                     }
                 }
             }
             struck_at
         };
-        assert_eq!(run(7, 1.0), run(7, 1.0));
-        assert_eq!(
-            run(7, 1.0),
-            run(7, -3.25),
-            "positions depend only on the seed"
-        );
-        assert_ne!(run(7, 1.0), run(8, 1.0));
+        assert_eq!(run(7, 1), run(7, 1));
+        assert_eq!(run(7, 1), run(7, -325), "positions depend only on the seed");
+        assert_ne!(run(7, 1), run(8, 1));
     }
 
     #[test]

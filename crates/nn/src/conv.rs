@@ -168,36 +168,6 @@ impl Conv2d {
         self.finish_output(out)
     }
 
-    /// [`Conv2d::forward_planned`] with a [`wgft_winograd::GemmObserver`]
-    /// attached to every winograd-coordinate GEMM — the fault-injection /
-    /// ABFT hook of the fast float path. Non-winograd geometries fall back
-    /// to direct convolution with no observation points (they run no GEMM).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError`] if the input shape does not match the layer.
-    pub fn forward_planned_observed(
-        &mut self,
-        input: &Tensor,
-        obs: &mut dyn wgft_winograd::GemmObserver,
-    ) -> Result<Tensor, NnError> {
-        if !self.shape.geometry.is_unit_stride_3x3() {
-            let out = direct_conv_f32(input.data(), self.weights.data(), &self.shape)?;
-            return self.finish_output(out);
-        }
-        if self.prepared.is_none() {
-            self.prepared = Some(PreparedConvF32::new(
-                self.weights.data(),
-                &self.shape,
-                self.winograd_variant,
-            )?);
-        }
-        let prepared = self.prepared.as_mut().expect("prepared plan built above");
-        let mut out = vec![0.0f32; self.shape.output_len()];
-        prepared.execute_observed(input.data(), &mut out, obs)?;
-        self.finish_output(out)
-    }
-
     /// Inference-only forward pass on a whole `(N, C, H, W)` batch.
     ///
     /// Winograd-eligible layers run the batch through

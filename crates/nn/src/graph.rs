@@ -306,7 +306,7 @@ impl Network {
     ///
     /// Returns [`NnError::EmptyNetwork`] for an empty graph or any layer error.
     pub fn forward_trace(&mut self, image: &Tensor) -> Result<Vec<Tensor>, NnError> {
-        self.trace_internal(image, false, None)
+        self.trace_internal(image, false)
     }
 
     /// Inference-only forward pass: winograd-eligible convolution layers
@@ -319,31 +319,7 @@ impl Network {
     /// Returns [`NnError::EmptyNetwork`] for an empty graph or any layer error.
     pub fn forward_inference(&mut self, image: &Tensor) -> Result<Tensor, NnError> {
         Ok(self
-            .trace_internal(image, true, None)?
-            .pop()
-            .expect("trace of a non-empty network"))
-    }
-
-    /// Inference-only forward pass with a [`wgft_winograd::GemmObserver`]
-    /// attached to every winograd-eligible convolution's GEMMs.
-    ///
-    /// This is how the fast float path is attacked and protected: a
-    /// `wgft_faultsim::GemmFaultInjector` (wrapped in `wgft-abft`'s checksum
-    /// guard) sees each GEMM product right after it is produced. With an
-    /// observer that leaves the products untouched the result is
-    /// bit-identical to [`Network::forward_inference`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::EmptyNetwork`] for an empty graph or any layer
-    /// error.
-    pub fn forward_inference_observed(
-        &mut self,
-        image: &Tensor,
-        obs: &mut dyn wgft_winograd::GemmObserver,
-    ) -> Result<Tensor, NnError> {
-        Ok(self
-            .trace_internal(image, true, Some(obs))?
+            .trace_internal(image, true)?
             .pop()
             .expect("trace of a non-empty network"))
     }
@@ -451,12 +427,7 @@ impl Network {
         Ok(activations.pop().flatten().expect("final node executed"))
     }
 
-    fn trace_internal(
-        &mut self,
-        image: &Tensor,
-        planned: bool,
-        mut obs: Option<&mut dyn wgft_winograd::GemmObserver>,
-    ) -> Result<Vec<Tensor>, NnError> {
+    fn trace_internal(&mut self, image: &Tensor, planned: bool) -> Result<Vec<Tensor>, NnError> {
         if self.nodes.is_empty() {
             return Err(NnError::EmptyNetwork);
         }
@@ -490,21 +461,7 @@ impl Network {
                 .collect::<Result<_, _>>()?;
             let layer = &mut self.nodes[idx].layer;
             let out = if planned {
-                // Observed inference routes convolutions through the
-                // GEMM-hook entry point; everything else is unchanged.
-                match (layer, obs.as_deref_mut()) {
-                    (Layer::Conv(conv), Some(observer)) => {
-                        if input_refs.len() != 1 {
-                            return Err(NnError::WrongInputCount {
-                                layer: "conv",
-                                expected: 1,
-                                actual: input_refs.len(),
-                            });
-                        }
-                        conv.forward_planned_observed(input_refs[0], observer)?
-                    }
-                    (layer, _) => layer.forward_inference(&input_refs)?,
-                }
+                layer.forward_inference(&input_refs)?
             } else {
                 layer.forward(&input_refs)?
             };

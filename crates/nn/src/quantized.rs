@@ -10,9 +10,19 @@
 //! operations the chosen algorithm actually performs — the property that lets
 //! the platform distinguish ST-Conv from WG-Conv where neuron-level injectors
 //! cannot (Figure 1).
+//!
+//! Every forward pass is one graph walk over the nodes. The walk owns input
+//! quantization, the batch dimension, shape checks, bias requantization and
+//! the activation / pooling / join ops; a per-layer executor only fills each
+//! compute layer's wide accumulators. There are three: the instrumented
+//! per-op engine (optionally with a neuron-level injector), the executable
+//! ABFT engines, and the fast uninstrumented kernels (optionally with an
+//! ABFT range recorder or an output-latch hook). With no faults injected,
+//! all of them give bit-identical logits.
 
 use crate::{InputRef, Layer, Network, NnError};
 use serde::{Deserialize, Serialize};
+use std::iter::zip;
 use wgft_abft::{
     abft_direct_conv, abft_linear, abft_winograd_conv, observe_max, AbftCalibration, AbftEvents,
     AbftMode, AbftPolicy, AbftRun, AbftScratch,
@@ -54,23 +64,8 @@ impl QuantizerOptions {
 /// A quantized node operation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum QOp {
-    Conv {
-        shape: ConvShape,
-        weights: Vec<i32>,
-        weight_frac: u32,
-        winograd: Option<WinogradWeights>,
-        winograd_frac: u32,
-        bias: Vec<f32>,
-        layer_id: usize,
-    },
-    Linear {
-        in_features: usize,
-        out_features: usize,
-        weights: Vec<i32>,
-        weight_frac: u32,
-        bias: Vec<f32>,
-        layer_id: usize,
-    },
+    Conv(QConv),
+    Linear(QLinear),
     Relu,
     MaxPool {
         channels: usize,
@@ -86,6 +81,32 @@ enum QOp {
     Concat,
 }
 
+/// A quantized convolution layer.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct QConv {
+    shape: ConvShape,
+    weights: Vec<i32>,
+    weight_frac: u32,
+    /// Winograd-domain weights (3x3 unit-stride layers only).
+    winograd: Option<WinogradWeights>,
+    winograd_frac: u32,
+    bias: Vec<f32>,
+    /// Compute-layer id: fault attribution, ABFT policy and ranges.
+    layer_id: usize,
+}
+
+/// A quantized fully-connected layer with row-major
+/// `(out_features, in_features)` weights.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct QLinear {
+    in_features: usize,
+    out_features: usize,
+    weights: Vec<i32>,
+    weight_frac: u32,
+    bias: Vec<f32>,
+    layer_id: usize,
+}
+
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct QNode {
     op: QOp,
@@ -94,20 +115,21 @@ struct QNode {
 }
 
 impl QNode {
-    /// Evaluate the non-compute ops (activation / pooling / join) shared
-    /// verbatim by every forward path — there must be exactly one copy of
-    /// these semantics, or the protected and unprotected paths drift apart.
-    /// Returns `None` for Conv/Linear, which each path executes through its
-    /// own kernels.
-    fn forward_simple<'a, G>(&self, gather: G) -> Option<(Vec<i32>, QFormat)>
+    /// Evaluate one image of a non-compute op (activation / pooling / join),
+    /// appending its output to `out` and returning the output format. There
+    /// is exactly one copy of these semantics, shared by every executor of
+    /// the graph walk. Returns `None` for Conv/Linear, which the walk hands
+    /// to its executor.
+    fn forward_simple<'a, G>(&self, gather: G, out: &mut Vec<i32>) -> Option<QFormat>
     where
         G: Fn(&InputRef) -> (&'a [i32], QFormat),
     {
         Some(match &self.op {
-            QOp::Conv { .. } | QOp::Linear { .. } => return None,
+            QOp::Conv(_) | QOp::Linear(_) => return None,
             QOp::Relu => {
                 let (input, in_format) = gather(&self.inputs[0]);
-                (input.iter().map(|&v| v.max(0)).collect(), in_format)
+                out.extend(input.iter().map(|&v| v.max(0)));
+                in_format
             }
             QOp::MaxPool {
                 channels,
@@ -115,7 +137,8 @@ impl QNode {
                 in_w,
             } => {
                 let (input, in_format) = gather(&self.inputs[0]);
-                (maxpool_raw(input, *channels, *in_h, *in_w), in_format)
+                maxpool_raw(input, *channels, *in_h, *in_w, out);
+                in_format
             }
             QOp::GlobalAvgPool {
                 channels,
@@ -123,23 +146,19 @@ impl QNode {
                 in_w,
             } => {
                 let (input, in_format) = gather(&self.inputs[0]);
-                (gap_raw(input, *channels, *in_h, *in_w), in_format)
+                gap_raw(input, *channels, *in_h, *in_w, out);
+                in_format
             }
             QOp::Add => {
                 let (a, fa) = gather(&self.inputs[0]);
                 let (b, fb) = gather(&self.inputs[1]);
-                let out = a
-                    .iter()
-                    .zip(b.iter())
-                    .map(|(&x, &y)| {
-                        let sum = fa.dequantize(x) + fb.dequantize(y);
-                        self.out_format.quantize(sum)
-                    })
-                    .collect();
-                (out, self.out_format)
+                out.extend(a.iter().zip(b.iter()).map(|(&x, &y)| {
+                    let sum = fa.dequantize(x) + fb.dequantize(y);
+                    self.out_format.quantize(sum)
+                }));
+                self.out_format
             }
             QOp::Concat => {
-                let mut out = Vec::new();
                 for input_ref in &self.inputs {
                     let (data, fmt) = gather(input_ref);
                     out.extend(data.iter().map(|&v| {
@@ -147,7 +166,7 @@ impl QNode {
                             .requantize_accumulator(i64::from(v), fmt.frac_bits())
                     }));
                 }
-                (out, self.out_format)
+                self.out_format
             }
         })
     }
@@ -161,16 +180,17 @@ pub type AccumulatorHook<'a> = dyn FnMut(&mut [i64]) + 'a;
 /// Prepared per-network state for the **fast uninstrumented** forward pass
 /// ([`QuantizedNetwork::forward_fast`]): cached
 /// [`PreparedConvQuantizedFast`] plans for every winograd-capable
-/// convolution node plus reusable im2col / accumulator scratch, so repeated
-/// fault-free inferences allocate nothing per image.
+/// convolution layer plus reusable im2col / accumulator scratch, so the
+/// compute kernels allocate nothing per image (the graph walk still
+/// allocates one output buffer per node).
 ///
 /// Obtain one from [`QuantizedNetwork::prepare_fast`]; it is only valid for
 /// the network that prepared it. Cloning gives an independent scratch for
 /// another worker thread.
 #[derive(Debug, Clone)]
 pub struct FastInference {
-    /// Node index → prepared fast winograd plan (3x3 unit-stride conv nodes
-    /// with winograd weights only).
+    /// Compute-layer id → prepared fast winograd plan (3x3 unit-stride conv
+    /// layers with winograd weights only).
     wino: Vec<Option<PreparedConvQuantizedFast>>,
     /// im2col patch matrix scratch for fast direct convolution, `(C·k², P)`.
     im2col: Vec<i32>,
@@ -271,7 +291,7 @@ impl QuantizedNetwork {
                     } else {
                         (None, 0)
                     };
-                    let op = QOp::Conv {
+                    let op = QOp::Conv(QConv {
                         shape,
                         weights,
                         weight_frac: weight_format.frac_bits(),
@@ -279,7 +299,7 @@ impl QuantizedNetwork {
                         winograd_frac,
                         bias: conv.bias().data().to_vec(),
                         layer_id,
-                    };
+                    });
                     layer_id += 1;
                     op
                 }
@@ -287,14 +307,14 @@ impl QuantizedNetwork {
                     let w_f32 = linear.weights().data();
                     let weight_format = weight_quantizer.calibrate(w_f32)?;
                     num_classes = linear.out_features();
-                    let op = QOp::Linear {
+                    let op = QOp::Linear(QLinear {
                         in_features: linear.in_features(),
                         out_features: linear.out_features(),
                         weights: weight_format.quantize_slice(w_f32),
                         weight_frac: weight_format.frac_bits(),
                         bias: linear.bias().data().to_vec(),
                         layer_id,
-                    };
+                    });
                     layer_id += 1;
                     op
                 }
@@ -368,19 +388,10 @@ impl QuantizedNetwork {
         let mut counts = vec![OpCount::default(); self.compute_layers];
         for node in &self.nodes {
             match &node.op {
-                QOp::Conv {
-                    shape, layer_id, ..
-                } => {
-                    counts[*layer_id] = ConvOpModel::count(shape, algo);
-                }
-                QOp::Linear {
-                    in_features,
-                    out_features,
-                    layer_id,
-                    ..
-                } => {
-                    let macs = (in_features * out_features) as u64;
-                    counts[*layer_id] = OpCount {
+                QOp::Conv(conv) => counts[conv.layer_id] = ConvOpModel::count(&conv.shape, algo),
+                QOp::Linear(linear) => {
+                    let macs = (linear.in_features * linear.out_features) as u64;
+                    counts[linear.layer_id] = OpCount {
                         mul: macs,
                         add: macs,
                     };
@@ -411,7 +422,7 @@ impl QuantizedNetwork {
         arith: &mut A,
         algo: ConvAlgorithm,
     ) -> Result<Vec<f32>, NnError> {
-        self.forward_internal(image, arith, algo, None, &mut WinogradScratch::new())
+        self.forward_with_scratch(image, arith, algo, &mut WinogradScratch::new())
     }
 
     /// [`QuantizedNetwork::forward`] with a caller-owned winograd scratch
@@ -430,7 +441,13 @@ impl QuantizedNetwork {
         algo: ConvAlgorithm,
         scratch: &mut WinogradScratch,
     ) -> Result<Vec<f32>, NnError> {
-        self.forward_internal(image, arith, algo, None, scratch)
+        let mut exec = Instrumented {
+            arith,
+            scratch,
+            neuron: None,
+            acc: Vec::new(),
+        };
+        self.walk_one(image, algo, &mut exec)
     }
 
     /// Run inference and return the predicted class.
@@ -474,18 +491,19 @@ impl QuantizedNetwork {
     /// are inconsistent with its shape (cannot happen for a network built by
     /// [`QuantizedNetwork::from_network`]).
     pub fn prepare_fast(&self) -> Result<FastInference, NnError> {
-        let mut wino = Vec::with_capacity(self.nodes.len());
+        let mut wino = vec![None; self.compute_layers];
         for node in &self.nodes {
-            wino.push(match &node.op {
-                QOp::Conv {
-                    shape,
-                    winograd: Some(w),
-                    ..
-                } if shape.geometry.is_unit_stride_3x3() => {
-                    Some(PreparedConvQuantizedFast::new(w, shape)?)
+            if let QOp::Conv(QConv {
+                shape,
+                winograd: Some(w),
+                layer_id,
+                ..
+            }) = &node.op
+            {
+                if shape.geometry.is_unit_stride_3x3() {
+                    wino[*layer_id] = Some(PreparedConvQuantizedFast::new(w, shape)?);
                 }
-                _ => None,
-            });
+            }
         }
         Ok(FastInference {
             wino,
@@ -506,10 +524,11 @@ impl QuantizedNetwork {
     ///
     /// The logits are **bit-identical** to
     /// [`QuantizedNetwork::forward`] over [`ExactArithmetic`] (integer
-    /// kernels are exact; the activation/pooling/join semantics are the
-    /// literal same code) — the tested guarantee that lets campaign clean
-    /// baselines, BER=0 sweep cells and ABFT calibration route here without
-    /// changing a single journaled result.
+    /// kernels are exact; the graph walk, requantization and the
+    /// activation/pooling/join semantics are the literal same code) — the
+    /// tested guarantee that lets campaign clean baselines, BER=0 sweep
+    /// cells and ABFT calibration route here without changing a single
+    /// journaled result.
     ///
     /// # Errors
     ///
@@ -520,7 +539,7 @@ impl QuantizedNetwork {
         algo: ConvAlgorithm,
         fast: &mut FastInference,
     ) -> Result<Vec<f32>, NnError> {
-        self.forward_fast_internal(image, algo, fast, None, None)
+        self.walk_one(image, algo, &mut Fast::new(fast))
     }
 
     /// [`QuantizedNetwork::forward_fast`] returning the predicted class.
@@ -557,7 +576,9 @@ impl QuantizedNetwork {
         fast: &mut FastInference,
         corrupt: &mut AccumulatorHook<'_>,
     ) -> Result<Vec<f32>, NnError> {
-        self.forward_fast_internal(image, algo, fast, None, Some(corrupt))
+        let mut exec = Fast::new(fast);
+        exec.hook = Some(corrupt);
+        self.walk_one(image, algo, &mut exec)
     }
 
     /// [`QuantizedNetwork::forward_fast_with_faults`] returning the
@@ -600,168 +621,7 @@ impl QuantizedNetwork {
         algo: ConvAlgorithm,
         fast: &mut FastInference,
     ) -> Result<Vec<Vec<f32>>, NnError> {
-        let n = images.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let FastInference { wino, im2col, acc } = fast;
-        let image_len = images[0].as_ref().data().len();
-        let mut image_q = Vec::with_capacity(n * image_len);
-        for image in images {
-            let data = image.as_ref().data();
-            if data.len() != image_len {
-                return Err(NnError::WrongInputCount {
-                    layer: "batched image",
-                    expected: image_len,
-                    actual: data.len(),
-                });
-            }
-            image_q.extend(self.input_format.quantize_slice(data));
-        }
-        // Per node: the batch's outputs stored image-major and contiguous
-        // (image `i` occupies `[i·len, (i+1)·len)`), so a downstream node's
-        // whole input slab is just its producer's buffer.
-        let mut outputs: Vec<(Vec<i32>, QFormat, usize)> = Vec::with_capacity(self.nodes.len());
-        for (node_idx, node) in self.nodes.iter().enumerate() {
-            let slab = |r: &InputRef| -> (&[i32], QFormat, usize) {
-                match r {
-                    InputRef::Image => (&image_q, self.input_format, image_len),
-                    InputRef::Node(nd) => {
-                        let (data, fmt, len) = &outputs[*nd];
-                        (data, *fmt, *len)
-                    }
-                }
-            };
-            let produced: (Vec<i32>, QFormat, usize) = match &node.op {
-                QOp::Conv {
-                    shape,
-                    weights,
-                    weight_frac,
-                    winograd,
-                    winograd_frac,
-                    bias,
-                    ..
-                } => {
-                    let (input_all, in_format, in_len) = slab(&node.inputs[0]);
-                    if in_len != shape.input_len() {
-                        return Err(wgft_winograd::WinogradError::BufferSizeMismatch {
-                            what: "input",
-                            expected: shape.input_len(),
-                            actual: in_len,
-                        }
-                        .into());
-                    }
-                    let use_winograd = matches!(algo, ConvAlgorithm::Winograd(_))
-                        && winograd.is_some()
-                        && shape.geometry.is_unit_stride_3x3();
-                    let out_len = shape.output_len();
-                    resize_acc(acc, n * out_len);
-                    let acc_frac = if use_winograd {
-                        let plan = wino[node_idx]
-                            .as_mut()
-                            .expect("prepare_fast plans every winograd-capable node");
-                        plan.execute_batch_into(input_all, n, &mut acc[..n * out_len])?;
-                        in_format.frac_bits() + winograd_frac
-                    } else {
-                        for i in 0..n {
-                            fast_direct_conv(
-                                &input_all[i * in_len..(i + 1) * in_len],
-                                weights,
-                                shape,
-                                im2col,
-                                &mut acc[i * out_len..(i + 1) * out_len],
-                            );
-                        }
-                        in_format.frac_bits() + weight_frac
-                    };
-                    let mut raw = Vec::with_capacity(n * out_len);
-                    for i in 0..n {
-                        raw.extend(requantize_with_bias(
-                            &acc[i * out_len..(i + 1) * out_len],
-                            acc_frac,
-                            bias,
-                            shape.geometry.out_pixels(),
-                            node.out_format,
-                        ));
-                    }
-                    (raw, node.out_format, out_len)
-                }
-                QOp::Linear {
-                    in_features,
-                    out_features,
-                    weights,
-                    weight_frac,
-                    bias,
-                    ..
-                } => {
-                    let (input_all, in_format, in_len) = slab(&node.inputs[0]);
-                    if in_len != *in_features {
-                        return Err(NnError::WrongInputCount {
-                            layer: "quantized linear",
-                            expected: *in_features,
-                            actual: in_len,
-                        });
-                    }
-                    resize_acc(acc, n * out_features);
-                    for i in 0..n {
-                        let input = &input_all[i * in_len..(i + 1) * in_len];
-                        for (o, acc_v) in acc[i * out_features..(i + 1) * out_features]
-                            .iter_mut()
-                            .enumerate()
-                        {
-                            let row = &weights[o * in_features..(o + 1) * in_features];
-                            let mut sum = 0i64;
-                            for (&w, &x) in row.iter().zip(input.iter()) {
-                                sum += i64::from(x) * i64::from(w);
-                            }
-                            *acc_v = sum;
-                        }
-                    }
-                    let acc_frac = in_format.frac_bits() + weight_frac;
-                    let raw: Vec<i32> = acc[..n * out_features]
-                        .iter()
-                        .enumerate()
-                        .map(|(j, &a)| {
-                            requantize_linear_acc(
-                                a,
-                                bias[j % out_features],
-                                acc_frac,
-                                node.out_format,
-                            )
-                        })
-                        .collect();
-                    (raw, node.out_format, *out_features)
-                }
-                _ => {
-                    let mut raw = Vec::new();
-                    let mut fmt = node.out_format;
-                    let mut per_len = 0usize;
-                    for i in 0..n {
-                        let gather = |r: &InputRef| -> (&[i32], QFormat) {
-                            let (data, f, len) = slab(r);
-                            (&data[i * len..(i + 1) * len], f)
-                        };
-                        let (data, f) = node
-                            .forward_simple(gather)
-                            .expect("non-compute ops handled by forward_simple");
-                        per_len = data.len();
-                        fmt = f;
-                        raw.extend(data);
-                    }
-                    (raw, fmt, per_len)
-                }
-            };
-            outputs.push(produced);
-        }
-        let (raw, format, per_len) = outputs.last().ok_or(NnError::EmptyNetwork)?;
-        Ok((0..n)
-            .map(|i| {
-                raw[i * per_len..(i + 1) * per_len]
-                    .iter()
-                    .map(|&v| format.dequantize(v))
-                    .collect()
-            })
-            .collect())
+        self.walk(images, algo, &mut Fast::new(fast))
     }
 
     /// [`QuantizedNetwork::forward_fast_batch`] returning one predicted
@@ -781,136 +641,6 @@ impl QuantizedNetwork {
             .iter()
             .map(|logits| argmax(logits))
             .collect())
-    }
-
-    fn forward_fast_internal(
-        &self,
-        image: &Tensor,
-        algo: ConvAlgorithm,
-        fast: &mut FastInference,
-        mut record: Option<&mut AbftCalibration>,
-        mut corrupt: Option<&mut AccumulatorHook<'_>>,
-    ) -> Result<Vec<f32>, NnError> {
-        let FastInference { wino, im2col, acc } = fast;
-        let image_q = self.input_format.quantize_slice(image.data());
-        let mut outputs: Vec<(Vec<i32>, QFormat)> = Vec::with_capacity(self.nodes.len());
-        for (node_idx, node) in self.nodes.iter().enumerate() {
-            let gather = |r: &InputRef| -> (&[i32], QFormat) {
-                match r {
-                    InputRef::Image => (&image_q, self.input_format),
-                    InputRef::Node(n) => (&outputs[*n].0, outputs[*n].1),
-                }
-            };
-            let produced: (Vec<i32>, QFormat) = match &node.op {
-                QOp::Conv {
-                    shape,
-                    weights,
-                    weight_frac,
-                    winograd,
-                    winograd_frac,
-                    bias,
-                    layer_id,
-                } => {
-                    let (input, in_format) = gather(&node.inputs[0]);
-                    let use_winograd = matches!(algo, ConvAlgorithm::Winograd(_))
-                        && winograd.is_some()
-                        && shape.geometry.is_unit_stride_3x3();
-                    let out_len = shape.output_len();
-                    resize_acc(acc, out_len);
-                    if input.len() != shape.input_len() {
-                        // The winograd arm validates inside `execute_into`;
-                        // this keeps the direct arm on the same "# Errors"
-                        // contract as the instrumented forward instead of
-                        // panicking inside the im2col indexing.
-                        return Err(wgft_winograd::WinogradError::BufferSizeMismatch {
-                            what: "input",
-                            expected: shape.input_len(),
-                            actual: input.len(),
-                        }
-                        .into());
-                    }
-                    let acc_frac = if use_winograd {
-                        let plan = wino[node_idx]
-                            .as_mut()
-                            .expect("prepare_fast plans every winograd-capable node");
-                        if let Some(cal) = record.as_deref_mut() {
-                            let mut ranges = QuantizedRangeRecord::new();
-                            plan.execute_into_recording(input, &mut acc[..out_len], &mut ranges)?;
-                            let layer = cal.layer_mut(*layer_id);
-                            layer.v_max = layer.v_max.max(ranges.v_max);
-                            layer.gemm_max = layer.gemm_max.max(ranges.gemm_max);
-                        } else {
-                            plan.execute_into(input, &mut acc[..out_len])?;
-                        }
-                        in_format.frac_bits() + winograd_frac
-                    } else {
-                        fast_direct_conv(input, weights, shape, im2col, &mut acc[..out_len]);
-                        in_format.frac_bits() + weight_frac
-                    };
-                    if let Some(hook) = corrupt.as_deref_mut() {
-                        hook(&mut acc[..out_len]);
-                    }
-                    if let Some(cal) = record.as_deref_mut() {
-                        let layer = cal.layer_mut(*layer_id);
-                        layer.acc_max = layer.acc_max.max(observe_max(&acc[..out_len]));
-                    }
-                    let raw = requantize_with_bias(
-                        &acc[..out_len],
-                        acc_frac,
-                        bias,
-                        shape.geometry.out_pixels(),
-                        node.out_format,
-                    );
-                    (raw, node.out_format)
-                }
-                QOp::Linear {
-                    in_features,
-                    out_features,
-                    weights,
-                    weight_frac,
-                    bias,
-                    layer_id,
-                } => {
-                    let (input, in_format) = gather(&node.inputs[0]);
-                    if input.len() != *in_features {
-                        return Err(NnError::WrongInputCount {
-                            layer: "quantized linear",
-                            expected: *in_features,
-                            actual: input.len(),
-                        });
-                    }
-                    resize_acc(acc, *out_features);
-                    for (o, acc_v) in acc[..*out_features].iter_mut().enumerate() {
-                        let row = &weights[o * in_features..(o + 1) * in_features];
-                        let mut sum = 0i64;
-                        for (&w, &x) in row.iter().zip(input.iter()) {
-                            sum += i64::from(x) * i64::from(w);
-                        }
-                        *acc_v = sum;
-                    }
-                    if let Some(hook) = corrupt.as_deref_mut() {
-                        hook(&mut acc[..*out_features]);
-                    }
-                    if let Some(cal) = record.as_deref_mut() {
-                        let layer = cal.layer_mut(*layer_id);
-                        layer.acc_max = layer.acc_max.max(observe_max(&acc[..*out_features]));
-                    }
-                    let acc_frac = in_format.frac_bits() + weight_frac;
-                    let raw: Vec<i32> = acc[..*out_features]
-                        .iter()
-                        .enumerate()
-                        .map(|(o, &a)| requantize_linear_acc(a, bias[o], acc_frac, node.out_format))
-                        .collect();
-                    (raw, node.out_format)
-                }
-                _ => node
-                    .forward_simple(gather)
-                    .expect("non-compute ops handled by forward_simple"),
-            };
-            outputs.push(produced);
-        }
-        let (raw, format) = outputs.last().ok_or(NnError::EmptyNetwork)?;
-        Ok(raw.iter().map(|&v| format.dequantize(v)).collect())
     }
 
     /// Run inference with a *neuron-level* injector corrupting every compute
@@ -942,8 +672,16 @@ impl QuantizedNetwork {
         algo: ConvAlgorithm,
         scratch: &mut WinogradScratch,
     ) -> Result<Vec<f32>, NnError> {
-        let mut exact = ExactArithmetic::new();
-        self.forward_internal(image, &mut exact, algo, Some(injector), scratch)
+        // The neuron-level baseline always sees the *standard* convolution
+        // operation volume: a generic framework has no visibility into the
+        // conv algorithm, which is exactly the blind spot Figure 1 exposes.
+        let mut exec = Instrumented {
+            arith: &mut ExactArithmetic::new(),
+            scratch,
+            neuron: Some((injector, self.layer_op_counts(ConvAlgorithm::Standard))),
+            acc: Vec::new(),
+        };
+        self.walk_one(image, algo, &mut exec)
     }
 
     /// Run inference under an executable [`AbftPolicy`]: convolution and
@@ -979,16 +717,16 @@ impl QuantizedNetwork {
         scratch: &mut AbftScratch,
         events: &mut AbftEvents,
     ) -> Result<Vec<f32>, NnError> {
-        self.forward_abft_internal(
-            image,
+        let mut exec = Protected {
             arith,
-            algo,
             policy,
             calibration,
             scratch,
             events,
-            None,
-        )
+            record: None,
+            acc: Vec::new(),
+        };
+        self.walk_one(image, algo, &mut exec)
     }
 
     /// [`QuantizedNetwork::forward_abft`] returning the predicted class.
@@ -1025,9 +763,9 @@ impl QuantizedNetwork {
     /// Calibration is inherently fault-free, so it runs on the fast
     /// uninstrumented path ([`QuantizedNetwork::forward_fast`]) with a range
     /// recorder attached; the resulting [`AbftCalibration`] is identical to
-    /// the instrumented reference pass
-    /// ([`QuantizedNetwork::calibrate_abft_instrumented`]) because both
-    /// observe the same exact integer values — tested.
+    /// a fault-free pass through the protected `wgft-abft` engines with
+    /// their range recorders attached, because both observe the same exact
+    /// integer values — tested against that reference pass.
     ///
     /// # Errors
     ///
@@ -1040,368 +778,426 @@ impl QuantizedNetwork {
         let mut calibration = AbftCalibration::new(self.compute_layers);
         let mut fast = self.prepare_fast()?;
         for image in images {
-            self.forward_fast_internal(image, algo, &mut fast, Some(&mut calibration), None)?;
+            let mut exec = Fast::new(&mut fast);
+            exec.record = Some(&mut calibration);
+            self.walk_one(image, algo, &mut exec)?;
         }
         Ok(calibration)
     }
 
-    /// The instrumented reference implementation of
-    /// [`QuantizedNetwork::calibrate_abft`]: a fault-free pass through the
-    /// protected executors with their range recorders attached. Kept (and
-    /// tested) as the ground truth the fast calibration must reproduce
-    /// exactly.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QuantizedNetwork::forward`].
-    pub fn calibrate_abft_instrumented(
+    /// [`QuantizedNetwork::walk`] over a single image.
+    fn walk_one<E: LayerExec>(
         &self,
-        images: &[Tensor],
+        image: &Tensor,
         algo: ConvAlgorithm,
-    ) -> Result<AbftCalibration, NnError> {
-        let mut calibration = AbftCalibration::new(self.compute_layers);
-        let mut scratch = AbftScratch::new();
-        let policy = AbftPolicy::off();
+        exec: &mut E,
+    ) -> Result<Vec<f32>, NnError> {
+        let mut logits = self.walk(std::slice::from_ref(image), algo, exec)?;
+        Ok(logits.pop().expect("one image in, one logits vector out"))
+    }
+
+    /// The graph walk every forward pass runs: quantize the batch, then
+    /// execute the nodes in order with `exec` filling each compute layer's
+    /// wide accumulators, and dequantize the last node's output per image.
+    ///
+    /// Each node's output holds the batch image-major and contiguous (image
+    /// `i` at `[i·len, (i+1)·len)`), so a downstream node's whole input slab
+    /// is its producer's buffer.
+    fn walk<E: LayerExec, T: AsRef<Tensor>>(
+        &self,
+        images: &[T],
+        algo: ConvAlgorithm,
+        exec: &mut E,
+    ) -> Result<Vec<Vec<f32>>, NnError> {
+        let n = images.len();
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let image_len = images[0].as_ref().data().len();
+        let mut image_q = Vec::with_capacity(n * image_len);
         for image in images {
-            let mut arith = ExactArithmetic::new();
-            let mut events = AbftEvents::new();
-            self.forward_abft_internal(
-                image,
-                &mut arith,
-                algo,
-                &policy,
-                None,
-                &mut scratch,
-                &mut events,
-                Some(&mut calibration),
-            )?;
+            let data = image.as_ref().data();
+            if data.len() != image_len {
+                return Err(NnError::WrongInputCount {
+                    layer: "batched image",
+                    expected: image_len,
+                    actual: data.len(),
+                });
+            }
+            image_q.extend(data.iter().map(|&v| self.input_format.quantize(v)));
         }
-        Ok(calibration)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn forward_abft_internal<A: Arithmetic>(
-        &self,
-        image: &Tensor,
-        arith: &mut A,
-        algo: ConvAlgorithm,
-        policy: &AbftPolicy,
-        calibration: Option<&AbftCalibration>,
-        scratch: &mut AbftScratch,
-        events: &mut AbftEvents,
-        mut record: Option<&mut AbftCalibration>,
-    ) -> Result<Vec<f32>, NnError> {
-        let image_q = self.input_format.quantize_slice(image.data());
-        let mut outputs: Vec<(Vec<i32>, QFormat)> = Vec::with_capacity(self.nodes.len());
+        assert!(
+            E::BATCHED || n == 1,
+            "per-op executors run one image per walk"
+        );
+        let winograd_algo = matches!(algo, ConvAlgorithm::Winograd(_));
+        let mut outputs: Vec<(Vec<i32>, QFormat, usize)> = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
-            let gather = |r: &InputRef| -> (&[i32], QFormat) {
+            let slab = |r: &InputRef| -> (&[i32], QFormat, usize) {
                 match r {
-                    InputRef::Image => (&image_q, self.input_format),
-                    InputRef::Node(n) => (&outputs[*n].0, outputs[*n].1),
+                    InputRef::Image => (&image_q, self.input_format, image_len),
+                    InputRef::Node(nd) => {
+                        let (data, fmt, len) = &outputs[*nd];
+                        (data, *fmt, *len)
+                    }
                 }
             };
-            let produced: (Vec<i32>, QFormat) = match &node.op {
-                QOp::Conv {
-                    shape,
-                    weights,
-                    weight_frac,
-                    winograd,
-                    winograd_frac,
-                    bias,
-                    layer_id,
-                } => {
-                    let (input, in_format) = gather(&node.inputs[0]);
-                    let use_winograd = matches!(algo, ConvAlgorithm::Winograd(_))
-                        && winograd.is_some()
-                        && shape.geometry.is_unit_stride_3x3();
-                    let mode = policy.mode_for(*layer_id);
-                    let run = AbftRun {
-                        mode,
-                        recompute: policy.recompute_on_detect,
-                        margin: policy.range_margin,
-                        ranges: calibration.and_then(|c| c.layer(*layer_id)),
-                    };
-                    let engine = mode != AbftMode::Off || record.is_some();
-                    let rec = record.as_deref_mut().map(|c| c.layer_mut(*layer_id));
-                    let (acc, acc_frac) = if use_winograd {
-                        let w = winograd.as_ref().expect("checked above");
-                        let acc = if engine {
-                            abft_winograd_conv(
-                                arith, *layer_id, input, w, shape, scratch, run, rec, events,
-                            )?
-                        } else {
-                            winograd_conv_quantized_with_scratch(
-                                arith,
-                                *layer_id,
-                                input,
-                                w,
-                                shape,
-                                &mut scratch.wino,
-                            )?
-                        };
-                        (acc, in_format.frac_bits() + winograd_frac)
-                    } else {
-                        let acc = if engine {
-                            abft_direct_conv(
-                                arith, *layer_id, input, weights, shape, scratch, run, rec, events,
-                            )?
-                        } else {
-                            direct_conv_quantized(arith, *layer_id, input, weights, shape)?
-                        };
-                        (acc, in_format.frac_bits() + weight_frac)
-                    };
-                    let raw = requantize_with_bias(
-                        &acc,
-                        acc_frac,
-                        bias,
-                        shape.geometry.out_pixels(),
-                        node.out_format,
-                    );
-                    (raw, node.out_format)
-                }
-                QOp::Linear {
-                    in_features,
-                    out_features,
-                    weights,
-                    weight_frac,
-                    bias,
-                    layer_id,
-                } => {
-                    let (input, in_format) = gather(&node.inputs[0]);
-                    if input.len() != *in_features {
-                        return Err(NnError::WrongInputCount {
-                            layer: "quantized linear",
-                            expected: *in_features,
-                            actual: input.len(),
-                        });
-                    }
-                    let mode = policy.mode_for(*layer_id);
-                    let run = AbftRun {
-                        mode,
-                        recompute: policy.recompute_on_detect,
-                        margin: policy.range_margin,
-                        ranges: calibration.and_then(|c| c.layer(*layer_id)),
-                    };
-                    let rec = record.as_deref_mut().map(|c| c.layer_mut(*layer_id));
-                    let acc_frac = in_format.frac_bits() + weight_frac;
-                    let acc = abft_linear(
-                        arith,
-                        *layer_id,
-                        input,
-                        weights,
-                        *in_features,
-                        *out_features,
-                        scratch,
-                        run,
-                        rec,
-                        events,
-                    );
-                    let raw: Vec<i32> = acc
-                        .iter()
-                        .enumerate()
-                        .map(|(o, &a)| requantize_linear_acc(a, bias[o], acc_frac, node.out_format))
-                        .collect();
-                    (raw, node.out_format)
-                }
-                _ => node
-                    .forward_simple(gather)
-                    .expect("non-compute ops handled by forward_simple"),
-            };
-            outputs.push(produced);
-        }
-        let (raw, format) = outputs.last().ok_or(NnError::EmptyNetwork)?;
-        Ok(raw.iter().map(|&v| format.dequantize(v)).collect())
-    }
-
-    fn forward_internal<A: Arithmetic>(
-        &self,
-        image: &Tensor,
-        arith: &mut A,
-        algo: ConvAlgorithm,
-        mut neuron_injector: Option<&mut NeuronLevelInjector>,
-        wino_scratch: &mut WinogradScratch,
-    ) -> Result<Vec<f32>, NnError> {
-        // The neuron-level baseline always sees the *standard* convolution
-        // operation volume: a generic framework has no visibility into the
-        // conv algorithm, which is exactly the blind spot Figure 1 exposes.
-        let standard_counts = self.layer_op_counts(ConvAlgorithm::Standard);
-        let image_q = self.input_format.quantize_slice(image.data());
-        let mut outputs: Vec<(Vec<i32>, QFormat)> = Vec::with_capacity(self.nodes.len());
-        // One scratch arena shared by every winograd layer of this forward
-        // pass (and, via the `_with_scratch` entry points, across a whole
-        // batch of forward passes) — nothing inside the kernels' per-tile
-        // loops allocates.
-
-        for node in &self.nodes {
-            let gather = |r: &InputRef| -> (&[i32], QFormat) {
-                match r {
-                    InputRef::Image => (&image_q, self.input_format),
-                    InputRef::Node(n) => (&outputs[*n].0, outputs[*n].1),
-                }
-            };
-            let produced: (Vec<i32>, QFormat) = match &node.op {
-                QOp::Conv {
-                    shape,
-                    weights,
-                    weight_frac,
-                    winograd,
-                    winograd_frac,
-                    bias,
-                    layer_id,
-                } => {
-                    let (input, in_format) = gather(&node.inputs[0]);
-                    let use_winograd = matches!(algo, ConvAlgorithm::Winograd(_))
-                        && winograd.is_some()
-                        && shape.geometry.is_unit_stride_3x3();
-                    let (acc, acc_frac) = if use_winograd {
-                        let w = winograd.as_ref().expect("checked above");
-                        (
-                            winograd_conv_quantized_with_scratch(
-                                arith,
-                                *layer_id,
-                                input,
-                                w,
-                                shape,
-                                wino_scratch,
-                            )?,
-                            in_format.frac_bits() + winograd_frac,
-                        )
-                    } else {
-                        (
-                            direct_conv_quantized(arith, *layer_id, input, weights, shape)?,
-                            in_format.frac_bits() + weight_frac,
-                        )
-                    };
-                    let mut raw = requantize_with_bias(
-                        &acc,
-                        acc_frac,
-                        bias,
-                        shape.geometry.out_pixels(),
-                        node.out_format,
-                    );
-                    if let Some(injector) = neuron_injector.as_deref_mut() {
-                        let ops = &standard_counts[*layer_id];
-                        let per_neuron = ops.total() / raw.len().max(1) as u64;
-                        injector.corrupt_layer(&mut raw, per_neuron);
-                    }
-                    (raw, node.out_format)
-                }
-                QOp::Linear {
-                    in_features,
-                    out_features,
-                    weights,
-                    weight_frac,
-                    bias,
-                    layer_id,
-                } => {
-                    let (input, in_format) = gather(&node.inputs[0]);
-                    if input.len() != *in_features {
-                        return Err(NnError::WrongInputCount {
-                            layer: "quantized linear",
-                            expected: *in_features,
-                            actual: input.len(),
-                        });
-                    }
-                    arith.begin_layer(*layer_id);
-                    let acc_frac = in_format.frac_bits() + weight_frac;
-                    let mut raw = Vec::with_capacity(*out_features);
-                    for o in 0..*out_features {
-                        let row = &weights[o * in_features..(o + 1) * in_features];
-                        let mut acc = 0i64;
-                        for (&w, &x) in row.iter().zip(input.iter()) {
-                            let product = arith.mul(i64::from(x), i64::from(w));
-                            acc = arith.add(acc, product);
+            let mut out = Vec::new();
+            let produced = match &node.op {
+                QOp::Conv(conv) => {
+                    let (input, in_format, in_len) = slab(&node.inputs[0]);
+                    let shape = &conv.shape;
+                    if in_len != shape.input_len() {
+                        return Err(wgft_winograd::WinogradError::BufferSizeMismatch {
+                            what: "input",
+                            expected: shape.input_len(),
+                            actual: in_len,
                         }
-                        raw.push(requantize_linear_acc(
-                            acc,
-                            bias[o],
-                            acc_frac,
-                            node.out_format,
-                        ));
+                        .into());
                     }
-                    if let Some(injector) = neuron_injector.as_deref_mut() {
-                        let ops = &standard_counts[*layer_id];
-                        let per_neuron = ops.total() / raw.len().max(1) as u64;
-                        injector.corrupt_layer(&mut raw, per_neuron);
-                    }
-                    (raw, node.out_format)
+                    let winograd = conv
+                        .winograd
+                        .as_ref()
+                        .filter(|_| winograd_algo && shape.geometry.is_unit_stride_3x3());
+                    let weight_frac = match winograd {
+                        Some(_) => conv.winograd_frac,
+                        None => conv.weight_frac,
+                    };
+                    let acc = exec.conv(conv, winograd, input, n)?;
+                    requantize_with_bias(
+                        acc,
+                        in_format.frac_bits() + weight_frac,
+                        &conv.bias,
+                        shape.geometry.out_pixels(),
+                        node.out_format,
+                        &mut out,
+                    );
+                    Some((conv.layer_id, shape.output_len()))
                 }
-                _ => node
-                    .forward_simple(gather)
-                    .expect("non-compute ops handled by forward_simple"),
+                QOp::Linear(linear) => {
+                    let (input, in_format, in_len) = slab(&node.inputs[0]);
+                    if in_len != linear.in_features {
+                        return Err(NnError::WrongInputCount {
+                            layer: "quantized linear",
+                            expected: linear.in_features,
+                            actual: in_len,
+                        });
+                    }
+                    let acc = exec.linear(linear, input, n)?;
+                    let acc_frac = in_format.frac_bits() + linear.weight_frac;
+                    let scale = (1u64 << acc_frac) as f64;
+                    out.extend(acc.iter().zip(linear.bias.iter().cycle()).map(|(&a, &b)| {
+                        let bias_acc = (f64::from(b) * scale).round() as i64;
+                        // Saturating for the same reason as `requantize_with_bias`.
+                        node.out_format
+                            .requantize_accumulator(a.saturating_add(bias_acc), acc_frac)
+                    }));
+                    Some((linear.layer_id, linear.out_features))
+                }
+                _ => None,
             };
-            outputs.push(produced);
+            let (format, len) = if let Some((layer_id, len)) = produced {
+                for i in 0..n {
+                    exec.after_requantize(layer_id, &mut out[i * len..(i + 1) * len]);
+                }
+                (node.out_format, len)
+            } else {
+                let mut format = node.out_format;
+                for i in 0..n {
+                    let gather = |r: &InputRef| -> (&[i32], QFormat) {
+                        let (data, fmt, len) = slab(r);
+                        (&data[i * len..(i + 1) * len], fmt)
+                    };
+                    format = node
+                        .forward_simple(gather, &mut out)
+                        .expect("non-compute ops handled by forward_simple");
+                }
+                (format, out.len() / n)
+            };
+            outputs.push((out, format, len));
         }
-
-        let (raw, format) = outputs.last().ok_or(NnError::EmptyNetwork)?;
-        Ok(raw.iter().map(|&v| format.dequantize(v)).collect())
+        let (raw, format, len) = outputs.last().ok_or(NnError::EmptyNetwork)?;
+        Ok((0..n)
+            .map(|i| format.dequantize_slice(&raw[i * len..(i + 1) * len]))
+            .collect())
     }
 }
 
-/// Grow-and-clear the shared accumulator scratch for one layer.
-fn resize_acc(acc: &mut Vec<i64>, len: usize) {
-    acc.clear();
-    acc.resize(len, 0);
+/// One way of executing compute layers. An executor fills the wide
+/// accumulators of a conv or linear layer for `n` image-major images and
+/// returns them (`n · out_len` values); the graph walk does everything
+/// else — quantization, batching, shape checks, the winograd predicate,
+/// bias requantization and the non-compute ops — so every executor shares
+/// one copy of those semantics. Executors are static type parameters of
+/// the walk, never trait objects, so the fast path pays nothing for the
+/// seam.
+trait LayerExec {
+    /// Whether the executor takes more than one image per walk. Per-op
+    /// executors do not: their entry points take a single image.
+    const BATCHED: bool = false;
+
+    /// Run `conv` as winograd with `winograd`'s weights when given, else as
+    /// standard convolution.
+    fn conv(
+        &mut self,
+        conv: &QConv,
+        winograd: Option<&WinogradWeights>,
+        input: &[i32],
+        n: usize,
+    ) -> Result<&[i64], NnError>;
+
+    fn linear(&mut self, linear: &QLinear, input: &[i32], n: usize) -> Result<&[i64], NnError>;
+
+    /// Called on each image's requantized output of compute layer `layer`.
+    fn after_requantize(&mut self, _layer: usize, _out: &mut [i32]) {}
 }
 
-/// Fast uninstrumented direct convolution: the im2col factorization —
-/// weights `(O × C·k²)` times patches `(C·k² × P)` — through the blocked
-/// [`gemm_i32`] microkernel. Padding taps multiply zeros instead of being
-/// skipped, so the accumulators are *bit-identical* to
-/// [`direct_conv_quantized`] over exact arithmetic (zero products contribute
-/// nothing to exact integer sums).
-fn fast_direct_conv(
-    input: &[i32],
-    weights: &[i32],
-    shape: &ConvShape,
-    im2col: &mut Vec<i32>,
+/// Every multiply-accumulate through an instrumented [`Arithmetic`]
+/// backend, optionally with a neuron-level injector corrupting each compute
+/// layer's requantized outputs (paired with the standard-convolution
+/// operation counts it scales its per-neuron rate by).
+struct Instrumented<'a, A> {
+    arith: &'a mut A,
+    scratch: &'a mut WinogradScratch,
+    neuron: Option<(&'a mut NeuronLevelInjector, Vec<OpCount>)>,
+    acc: Vec<i64>,
+}
+
+impl<A: Arithmetic> LayerExec for Instrumented<'_, A> {
+    fn conv(
+        &mut self,
+        conv: &QConv,
+        winograd: Option<&WinogradWeights>,
+        input: &[i32],
+        _n: usize,
+    ) -> Result<&[i64], NnError> {
+        let (arith, id, shape) = (&mut *self.arith, conv.layer_id, &conv.shape);
+        self.acc = match winograd {
+            Some(w) => {
+                winograd_conv_quantized_with_scratch(arith, id, input, w, shape, self.scratch)?
+            }
+            None => direct_conv_quantized(arith, id, input, &conv.weights, shape)?,
+        };
+        Ok(&self.acc)
+    }
+
+    fn linear(&mut self, linear: &QLinear, input: &[i32], _n: usize) -> Result<&[i64], NnError> {
+        self.arith.begin_layer(linear.layer_id);
+        self.acc.clear();
+        for row in linear.weights.chunks(linear.in_features.max(1)) {
+            let mut acc = 0i64;
+            for (&w, &x) in row.iter().zip(input) {
+                let product = self.arith.mul(i64::from(x), i64::from(w));
+                acc = self.arith.add(acc, product);
+            }
+            self.acc.push(acc);
+        }
+        Ok(&self.acc)
+    }
+
+    fn after_requantize(&mut self, layer: usize, out: &mut [i32]) {
+        if let Some((injector, standard_counts)) = self.neuron.as_mut() {
+            let per_neuron = standard_counts[layer].total() / out.len().max(1) as u64;
+            injector.corrupt_layer(out, per_neuron);
+        }
+    }
+}
+
+/// The executable-ABFT engines of `wgft-abft` under an [`AbftPolicy`]:
+/// layers whose mode is off run the stock instrumented kernels unless a
+/// range recorder is attached.
+struct Protected<'a, A> {
+    arith: &'a mut A,
+    policy: &'a AbftPolicy,
+    calibration: Option<&'a AbftCalibration>,
+    scratch: &'a mut AbftScratch,
+    events: &'a mut AbftEvents,
+    /// Fault-free range recorder (the instrumented calibration reference).
+    record: Option<&'a mut AbftCalibration>,
+    acc: Vec<i64>,
+}
+
+impl<'a, A> Protected<'a, A> {
+    fn run(&self, layer: usize) -> AbftRun<'a> {
+        AbftRun {
+            mode: self.policy.mode_for(layer),
+            recompute: self.policy.recompute_on_detect,
+            margin: self.policy.range_margin,
+            ranges: self.calibration.and_then(|c| c.layer(layer)),
+        }
+    }
+}
+
+impl<A: Arithmetic> LayerExec for Protected<'_, A> {
+    fn conv(
+        &mut self,
+        conv: &QConv,
+        winograd: Option<&WinogradWeights>,
+        input: &[i32],
+        _n: usize,
+    ) -> Result<&[i64], NnError> {
+        let (id, shape, weights) = (conv.layer_id, &conv.shape, &conv.weights);
+        let run = self.run(id);
+        let engine = run.mode != AbftMode::Off || self.record.is_some();
+        let rec = self.record.as_deref_mut().map(|c| c.layer_mut(id));
+        let (arith, scratch, events) = (&mut *self.arith, &mut *self.scratch, &mut *self.events);
+        self.acc = match (winograd, engine) {
+            (Some(w), true) => {
+                abft_winograd_conv(arith, id, input, w, shape, scratch, run, rec, events)?
+            }
+            (Some(w), false) => {
+                winograd_conv_quantized_with_scratch(arith, id, input, w, shape, &mut scratch.wino)?
+            }
+            (None, true) => {
+                abft_direct_conv(arith, id, input, weights, shape, scratch, run, rec, events)?
+            }
+            (None, false) => direct_conv_quantized(arith, id, input, weights, shape)?,
+        };
+        Ok(&self.acc)
+    }
+
+    fn linear(&mut self, linear: &QLinear, input: &[i32], _n: usize) -> Result<&[i64], NnError> {
+        let (id, w) = (linear.layer_id, &linear.weights);
+        let (k, o) = (linear.in_features, linear.out_features);
+        let run = self.run(id);
+        let rec = self.record.as_deref_mut().map(|c| c.layer_mut(id));
+        let (arith, scratch, events) = (&mut *self.arith, &mut *self.scratch, &mut *self.events);
+        self.acc = abft_linear(arith, id, input, w, k, o, scratch, run, rec, events);
+        Ok(&self.acc)
+    }
+}
+
+/// The fast uninstrumented kernels of a [`FastInference`], optionally with
+/// an ABFT range recorder and an output-latch [`AccumulatorHook`].
+struct Fast<'a, 'h> {
+    fast: &'a mut FastInference,
+    record: Option<&'a mut AbftCalibration>,
+    hook: Option<&'a mut AccumulatorHook<'h>>,
+}
+
+impl<'a> Fast<'a, '_> {
+    fn new(fast: &'a mut FastInference) -> Self {
+        Self {
+            fast,
+            record: None,
+            hook: None,
+        }
+    }
+}
+
+impl LayerExec for Fast<'_, '_> {
+    const BATCHED: bool = true;
+
+    fn conv(
+        &mut self,
+        conv: &QConv,
+        winograd: Option<&WinogradWeights>,
+        input: &[i32],
+        n: usize,
+    ) -> Result<&[i64], NnError> {
+        let FastInference { wino, im2col, acc } = &mut *self.fast;
+        let (in_len, out_len) = (conv.shape.input_len(), conv.shape.output_len());
+        acc.clear();
+        acc.resize(n * out_len, 0);
+        if winograd.is_some() {
+            let plan = wino[conv.layer_id]
+                .as_mut()
+                .expect("prepare_fast plans every winograd-capable layer");
+            if let Some(cal) = self.record.as_deref_mut() {
+                // Calibration walks one image at a time; the recording
+                // entry point rejects a batch.
+                let mut ranges = QuantizedRangeRecord::new();
+                plan.execute_into_recording(input, acc, &mut ranges)?;
+                let layer = cal.layer_mut(conv.layer_id);
+                layer.v_max = layer.v_max.max(ranges.v_max);
+                layer.gemm_max = layer.gemm_max.max(ranges.gemm_max);
+            } else {
+                plan.execute_batch_into(input, n, acc)?;
+            }
+        } else {
+            // The im2col factorization — weights `(O × C·k²)` times patches
+            // `(C·k² × P)` — through the blocked `gemm_i32` microkernel.
+            // Padding taps multiply zeros instead of being skipped, so the
+            // accumulators are bit-identical to `direct_conv_quantized` over
+            // exact arithmetic (zero products add nothing to exact sums).
+            let (c, g) = (conv.shape.in_channels, &conv.shape.geometry);
+            let (o, kdim, p) = (conv.shape.out_channels, c * g.k_h * g.k_w, g.out_pixels());
+            for (src, dst) in zip(input.chunks(in_len.max(1)), acc.chunks_mut(out_len.max(1))) {
+                im2col_quantized(src, c, g, im2col);
+                gemm_i32(&conv.weights, im2col, dst, o, kdim, p);
+            }
+        }
+        latch_and_record(&mut self.hook, &mut self.record, conv.layer_id, acc);
+        Ok(acc)
+    }
+
+    fn linear(&mut self, linear: &QLinear, input: &[i32], n: usize) -> Result<&[i64], NnError> {
+        let (k, outs) = (linear.in_features, linear.out_features);
+        let acc = &mut self.fast.acc;
+        acc.clear();
+        acc.resize(n * outs, 0);
+        for (i, acc_image) in acc.chunks_mut(outs.max(1)).enumerate() {
+            let image = &input[i * k..(i + 1) * k];
+            for (acc_v, row) in acc_image.iter_mut().zip(linear.weights.chunks(k.max(1))) {
+                *acc_v = row
+                    .iter()
+                    .zip(image)
+                    .map(|(&w, &x)| i64::from(x) * i64::from(w))
+                    .sum();
+            }
+        }
+        latch_and_record(&mut self.hook, &mut self.record, linear.layer_id, acc);
+        Ok(acc)
+    }
+}
+
+/// The fast path's per-layer taps, between the kernel and requantization:
+/// the output-latch hook strikes the accumulators, then the range recorder
+/// folds in their maximum.
+fn latch_and_record(
+    hook: &mut Option<&mut AccumulatorHook<'_>>,
+    record: &mut Option<&mut AbftCalibration>,
+    layer: usize,
     acc: &mut [i64],
 ) {
-    let g = &shape.geometry;
-    let p = g.out_pixels();
-    let kdim = shape.in_channels * g.k_h * g.k_w;
-    im2col_quantized(input, shape.in_channels, g, im2col);
-    gemm_i32(weights, im2col, acc, shape.out_channels, kdim, p);
+    if let Some(hook) = hook.as_deref_mut() {
+        hook(acc);
+    }
+    if let Some(cal) = record.as_deref_mut() {
+        let layer = cal.layer_mut(layer);
+        layer.acc_max = layer.acc_max.max(observe_max(acc));
+    }
 }
 
-/// Requantize one fully-connected accumulator, adding its bias in the
-/// accumulator domain — the single copy of the bias-rounding expression all
-/// three linear paths (instrumented, protected, fast) share, so the tested
-/// bit-identity between them cannot drift.
-fn requantize_linear_acc(acc: i64, bias: f32, acc_frac: u32, out_format: QFormat) -> i32 {
-    let bias_acc = (f64::from(bias) * (1u64 << acc_frac) as f64).round() as i64;
-    // Saturating for the same reason as `requantize_with_bias`: injected
-    // faults can push `acc` to the i64 extremes.
-    out_format.requantize_accumulator(acc.saturating_add(bias_acc), acc_frac)
-}
-
-/// Requantize a conv accumulator buffer, adding the per-channel bias in the
-/// accumulator domain. The bias is scaled once per channel, with the same
-/// expression for every pixel of it.
+/// Requantize image-major conv accumulators into `out`, adding the
+/// per-channel bias in the accumulator domain. The bias is scaled once per
+/// channel, with the same expression for every pixel of it; channels cycle
+/// through `bias` from one image to the next.
 fn requantize_with_bias(
     acc: &[i64],
     acc_frac: u32,
     bias: &[f32],
     pixels_per_channel: usize,
     out_format: QFormat,
-) -> Vec<i32> {
+    out: &mut Vec<i32>,
+) {
     let scale = (1u64 << acc_frac) as f64;
-    let mut out = Vec::with_capacity(acc.len());
-    for (oc, channel) in acc.chunks(pixels_per_channel.max(1)).enumerate() {
-        let bias_acc = (f64::from(bias.get(oc).copied().unwrap_or(0.0)) * scale).round() as i64;
+    out.reserve(acc.len());
+    let channels = acc.chunks(pixels_per_channel.max(1));
+    for (channel, &b) in channels.zip(bias.iter().cycle()) {
+        let bias_acc = (f64::from(b) * scale).round() as i64;
         // The bias add saturates: fault injection can leave accumulators
         // near the i64 extremes, and the add must not overflow (clean
         // accumulators sit far below the saturation region, so this never
         // changes exact results).
-        out_format.requantize_biased_into(channel, bias_acc, acc_frac, &mut out);
+        out_format.requantize_biased_into(channel, bias_acc, acc_frac, out);
     }
-    out
 }
 
-/// 2x2/stride-2 max pooling on raw quantized words.
-fn maxpool_raw(input: &[i32], channels: usize, in_h: usize, in_w: usize) -> Vec<i32> {
+/// 2x2/stride-2 max pooling on raw quantized words, appended to `out`.
+fn maxpool_raw(input: &[i32], channels: usize, in_h: usize, in_w: usize, out: &mut Vec<i32>) {
     let (oh, ow) = (in_h / 2, in_w / 2);
-    let mut out = vec![0i32; channels * oh * ow];
+    out.reserve(channels * oh * ow);
     for c in 0..channels {
         for oy in 0..oh {
             for ox in 0..ow {
@@ -1412,26 +1208,24 @@ fn maxpool_raw(input: &[i32], channels: usize, in_h: usize, in_w: usize) -> Vec<
                         best = best.max(input[idx]);
                     }
                 }
-                out[(c * oh + oy) * ow + ox] = best;
+                out.push(best);
             }
         }
     }
-    out
 }
 
-/// Global average pooling on raw quantized words (rounded mean).
-fn gap_raw(input: &[i32], channels: usize, in_h: usize, in_w: usize) -> Vec<i32> {
+/// Global average pooling on raw quantized words (rounded mean), appended
+/// to `out`.
+fn gap_raw(input: &[i32], channels: usize, in_h: usize, in_w: usize, out: &mut Vec<i32>) {
     let area = (in_h * in_w) as i64;
-    let mut out = vec![0i32; channels];
-    for (c, out_v) in out.iter_mut().enumerate() {
+    out.extend((0..channels).map(|c| {
         let base = c * in_h * in_w;
         let sum: i64 = input[base..base + in_h * in_w]
             .iter()
             .map(|&v| i64::from(v))
             .sum();
-        *out_v = (sum + area / 2).div_euclid(area.max(1)) as i32;
-    }
-    out
+        (sum + area / 2).div_euclid(area.max(1)) as i32
+    }));
 }
 
 #[cfg(test)]
@@ -1441,6 +1235,35 @@ mod tests {
     use crate::{TrainConfig, Trainer};
     use wgft_data::{Dataset, SyntheticSpec};
     use wgft_faultsim::{BitErrorRate, FaultConfig, FaultyArithmetic};
+
+    impl QuantizedNetwork {
+        /// The instrumented reference for [`QuantizedNetwork::calibrate_abft`]:
+        /// a fault-free pass through the protected executors with their
+        /// range recorders attached — the ground truth the fast calibration
+        /// must reproduce exactly.
+        fn calibrate_abft_instrumented(
+            &self,
+            images: &[Tensor],
+            algo: ConvAlgorithm,
+        ) -> Result<AbftCalibration, NnError> {
+            let mut calibration = AbftCalibration::new(self.compute_layers);
+            let mut scratch = AbftScratch::new();
+            let policy = AbftPolicy::off();
+            for image in images {
+                let mut exec = Protected {
+                    arith: &mut ExactArithmetic::new(),
+                    policy: &policy,
+                    calibration: None,
+                    scratch: &mut scratch,
+                    events: &mut AbftEvents::new(),
+                    record: Some(&mut calibration),
+                    acc: Vec::new(),
+                };
+                self.walk_one(image, algo, &mut exec)?;
+            }
+            Ok(calibration)
+        }
+    }
 
     fn trained_tiny() -> (crate::Network, Dataset, SyntheticSpec) {
         let spec = SyntheticSpec::tiny();
@@ -1783,6 +1606,74 @@ mod tests {
         }
     }
 
+    /// Every executor of the graph walk on every model, joins (Add /
+    /// Concat) included: fault-free, the instrumented, fast, batched,
+    /// silently hooked, ABFT-protected and BER-0 neuron-level passes all
+    /// give the same logits. Untrained weights suffice — bit-identity does
+    /// not depend on them.
+    #[test]
+    fn every_executor_agrees_fault_free_on_every_model() {
+        let spec = SyntheticSpec::tiny();
+        let data = Dataset::synthetic(&spec, 4, 11);
+        let images: Vec<Tensor> = data
+            .samples()
+            .iter()
+            .take(3)
+            .map(|s| s.image.clone())
+            .collect();
+        for kind in ModelKind::all() {
+            let mut net = kind.build(&spec, 5);
+            let qnet = QuantizedNetwork::from_network(
+                &mut net,
+                &images,
+                QuantizerOptions::new(BitWidth::W8),
+            )
+            .unwrap();
+            let mut fast = qnet.prepare_fast().unwrap();
+            for algo in [ConvAlgorithm::Standard, ConvAlgorithm::winograd_default()] {
+                let calibration = qnet.calibrate_abft(&images, algo).unwrap();
+                let batched = qnet.forward_fast_batch(&images, algo, &mut fast).unwrap();
+                for (image, batched) in images.iter().zip(&batched) {
+                    let what = format!("{kind:?} {algo:?}");
+                    let mut exact = ExactArithmetic::new();
+                    let reference = qnet.forward(image, &mut exact, algo).unwrap();
+                    assert_eq!(reference, *batched, "{what}: batched fast");
+                    let fast_logits = qnet.forward_fast(image, algo, &mut fast).unwrap();
+                    assert_eq!(reference, fast_logits, "{what}: fast");
+                    let mut silent = |_acc: &mut [i64]| {};
+                    let hooked = qnet
+                        .forward_fast_with_faults(image, algo, &mut fast, &mut silent)
+                        .unwrap();
+                    assert_eq!(reference, hooked, "{what}: silent hook");
+                    for policy in [AbftPolicy::off(), AbftPolicy::checksum_range()] {
+                        let mut arith = ExactArithmetic::new();
+                        let (mut scratch, mut events) = (AbftScratch::new(), AbftEvents::new());
+                        let protected = qnet
+                            .forward_abft(
+                                image,
+                                &mut arith,
+                                algo,
+                                &policy,
+                                Some(&calibration),
+                                &mut scratch,
+                                &mut events,
+                            )
+                            .unwrap();
+                        assert_eq!(reference, protected, "{what}: abft {policy:?}");
+                        assert_eq!(events.detected, 0, "{what}: false detection");
+                        assert_eq!(events.clipped, 0, "{what}: clean run clipped");
+                    }
+                    let mut injector =
+                        NeuronLevelInjector::new(BitErrorRate::ZERO, BitWidth::W8, 1);
+                    let neuron = qnet
+                        .forward_with_neuron_faults(image, &mut injector, algo)
+                        .unwrap();
+                    assert_eq!(reference, neuron, "{what}: neuron-level at BER 0");
+                }
+            }
+        }
+    }
+
     /// The output-latch fault hook: a hook that never writes leaves the fast
     /// path bit-identical; a hook that flips accumulator bits changes the
     /// logits; and the deterministic `GemmFaultInjector` stream makes two
@@ -1858,6 +1749,22 @@ mod tests {
             let mut arith = ExactArithmetic::new();
             assert!(qnet.forward(&short, &mut arith, algo).is_err());
             assert!(qnet.forward_fast(&short, algo, &mut fast).is_err());
+            assert!(qnet
+                .forward_fast_batch(&[short.clone(), short.clone()], algo, &mut fast)
+                .is_err());
+            let (mut scratch, mut events) = (AbftScratch::new(), AbftEvents::new());
+            let policy = AbftPolicy::checksum_range();
+            assert!(qnet
+                .forward_abft(
+                    &short,
+                    &mut arith,
+                    algo,
+                    &policy,
+                    None,
+                    &mut scratch,
+                    &mut events
+                )
+                .is_err());
         }
     }
 
@@ -1935,30 +1842,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn observed_float_inference_is_bit_identical_when_unperturbed() {
-        let (mut net, data, _) = trained_tiny();
-        struct NullObserver;
-        impl wgft_winograd::GemmObserver for NullObserver {
-            fn after_gemm(
-                &mut self,
-                _a: &[f32],
-                _b: &[f32],
-                _out: &mut [f32],
-                _m: usize,
-                _k: usize,
-                _p: usize,
-            ) {
-            }
-        }
-        let image = &data.samples()[0].image;
-        let plain = net.forward_inference(image).unwrap();
-        let observed = net
-            .forward_inference_observed(image, &mut NullObserver)
-            .unwrap();
-        assert_eq!(plain.data(), observed.data());
     }
 
     #[test]

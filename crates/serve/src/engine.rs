@@ -5,16 +5,16 @@
 //! Three serving paths, one per protection family:
 //!
 //! * **fast batch** — fault-free micro-batched fast path
-//!   ([`QuantizedNetwork::forward_fast_batch`]), bit-identical to per-image
-//!   execution for any coalescing schedule;
+//!   ([`wgft_nn::QuantizedNetwork::forward_fast_batch`]), bit-identical to
+//!   per-image execution for any coalescing schedule;
 //! * **fast chaos** — the same fast path per image with a
 //!   [`GemmFaultInjector`] striking the accumulator latches, seeded from
 //!   `(chaos_seed, request_id)` so retries are idempotent;
 //! * **protected** — the executable ABFT path
-//!   ([`QuantizedNetwork::classify_abft`]) under the tier's policy, with a
-//!   [`FaultyArithmetic`] backend carrying the chaos BER (zero when chaos
-//!   is off: the protected tiers still pay their detection overhead, which
-//!   is exactly what the per-tier latency numbers are for).
+//!   ([`wgft_nn::QuantizedNetwork::classify_abft`]) under the tier's
+//!   policy, with a [`FaultyArithmetic`] backend carrying the chaos BER
+//!   (zero when chaos is off: the protected tiers still pay their detection
+//!   overhead, which is exactly what the per-tier latency numbers are for).
 
 use wgft_abft::{AbftEvents, AbftPolicy, AbftScratch, ProtectionProfile};
 use wgft_core::{CampaignConfig, FaultToleranceCampaign};

@@ -92,8 +92,8 @@ const PAR_GEMM_MIN_WORK: usize = 1 << 18;
 ///
 /// This is the hot inner kernel of the planned winograd scatter–GEMM path
 /// (one call per winograd-domain coordinate), so it avoids all allocation. It
-/// is cache-blocked: `k` is split into [`GEMM_KC`]-deep panels and each panel
-/// is consumed by a [`GEMM_MR`]`×`[`GEMM_NR`] register-tiled microkernel that
+/// is cache-blocked: `k` is split into `GEMM_KC`-deep panels and each panel
+/// is consumed by a `GEMM_MR`×`GEMM_NR` register-tiled microkernel that
 /// touches each `c` element once per panel instead of once per `k` step.
 ///
 /// Every `c[i][j]` accumulates its `k` products in strictly increasing-`p`
@@ -281,8 +281,8 @@ const GEMM_I32_NR: usize = 8;
 /// winograd path: one call per winograd-domain coordinate, with quantized
 /// `i32` words in and wide `i64` accumulators out — the same accumulator
 /// domain the instrumented scalar kernels produce. It is cache-blocked
-/// exactly like [`gemm_f32`] ([`GEMM_KC`]-deep panels consumed by a
-/// [`GEMM_I32_MR`]`×`[`GEMM_I32_NR`] register tile), and because integer
+/// exactly like [`gemm_f32`] (`GEMM_KC`-deep panels consumed by a
+/// `GEMM_I32_MR`×`GEMM_I32_NR` register tile), and because integer
 /// addition is associative the result is *bit-identical* to a naive `i-j-k`
 /// triple loop — and to the instrumented kernels run on exact arithmetic —
 /// for every blocking, provided no intermediate sum overflows `i64`

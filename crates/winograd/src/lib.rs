@@ -50,8 +50,6 @@ pub use conv_winograd::{
 pub use dwm::{decompose_kernel, dwm_conv_f32, KernelTile};
 pub use error::WinogradError;
 pub use opcount::{ConvAlgorithm, ConvOpModel};
-pub use plan::{
-    GemmObserver, PreparedConvF32, PreparedConvQuantized, WinogradPlan, WinogradScratch,
-};
+pub use plan::{PreparedConvF32, WinogradPlan, WinogradScratch};
 pub use quantized_fast::{PreparedConvQuantizedFast, QuantizedRangeRecord, MAX_FAST_INPUT};
 pub use transform::{WinogradVariant, F2X2_3X3, F4X4_3X3, F6X6_3X3};

@@ -21,26 +21,10 @@
 //! prepared object and is reused across calls.
 
 use crate::conv_standard::ConvShape;
-use crate::conv_winograd::{transform_weights_f32, WinogradWeights};
+use crate::conv_winograd::transform_weights_f32;
 use crate::transform::{mat_mul_into, mat_mul_rt_into, WinogradVariant};
 use crate::WinogradError;
-use wgft_faultsim::Arithmetic;
 use wgft_tensor::{gemm_f32, gemm_f32_det};
-
-/// Observes (and may mutate) every GEMM product of a planned winograd
-/// execution, right after the GEMM writes it and before the gather phase
-/// consumes it.
-///
-/// This is the fast path's fault-injection and protection hook: a
-/// `wgft_faultsim::GemmFaultInjector` corrupts the product buffer the way a
-/// soft error in a matrix engine's output latches would, and the `wgft-abft`
-/// checksum guard verifies/repairs it — both without slowing down the
-/// unobserved hot path, which never takes this entry point.
-pub trait GemmObserver {
-    /// Called once per winograd-coordinate GEMM with the operands
-    /// `a (m×k)`, `b (k×p)` and the freshly computed product `out (m×p)`.
-    fn after_gemm(&mut self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, p: usize);
-}
 
 /// Tile-level execution geometry of one planned winograd convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -400,53 +384,6 @@ impl PreparedConvF32 {
         Ok(())
     }
 
-    /// Execute a single image with a [`GemmObserver`] attached to every
-    /// winograd-coordinate GEMM.
-    ///
-    /// Runs the serial single-chunk schedule (observation points must be
-    /// deterministic and ordered), so the observed execution is bit-identical
-    /// to [`PreparedConvF32::execute_into`] whenever the observer leaves the
-    /// product untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WinogradError::BufferSizeMismatch`] on a wrong input or
-    /// output length.
-    pub fn execute_observed(
-        &mut self,
-        input: &[f32],
-        output: &mut [f32],
-        obs: &mut dyn GemmObserver,
-    ) -> Result<(), WinogradError> {
-        self.validate_batch(input, 1, output)?;
-        let shape = self.plan.shape;
-        let (o, c) = (shape.out_channels, shape.in_channels);
-        let t2 = self.plan.variant.input_tile() * self.plan.variant.input_tile();
-        let bp = self.block_for(self.plan.num_tiles());
-        if self.v.len() < t2 * c * bp {
-            self.v.resize(t2 * c * bp, 0.0);
-        }
-        if self.prod.len() < t2 * o * bp {
-            self.prod.resize(t2 * o * bp, 0.0);
-        }
-        run_images_f32(
-            &self.plan,
-            &self.u,
-            &self.bt,
-            &self.at,
-            bp,
-            &mut self.v,
-            &mut self.prod,
-            input,
-            1,
-            output,
-            false,
-            self.deterministic,
-            Some(obs),
-        );
-        Ok(())
-    }
-
     /// How many times [`PreparedConvF32::execute_batch_into`] has run. The
     /// batched inference layers assert on this to catch a silent fallback to
     /// per-image execution.
@@ -534,7 +471,6 @@ impl PreparedConvF32 {
                 output,
                 parallel_gemms,
                 self.deterministic,
-                None,
             );
             return;
         }
@@ -554,7 +490,7 @@ impl PreparedConvF32 {
                 // Workers are the parallelism here; their GEMMs stay serial.
                 run_images_f32(
                     plan, u, bt, at, bp, &mut v, &mut prod, in_chunk, images, out_chunk, false,
-                    false, None,
+                    false,
                 );
             })
             .collect::<Vec<()>>();
@@ -581,7 +517,6 @@ fn run_images_f32(
     output: &mut [f32],
     parallel_gemms: bool,
     det: bool,
-    mut obs: Option<&mut dyn GemmObserver>,
 ) {
     let shape = plan.shape;
     let (o, c) = (shape.out_channels, shape.in_channels);
@@ -644,7 +579,6 @@ fn run_images_f32(
         // a single fork/join per block (disjoint `prod` chunks); striping
         // inside each GEMM would pay t² fork/joins plus stitch copies.
         if parallel_gemms {
-            debug_assert!(obs.is_none(), "observed execution is always serial");
             debug_assert!(!det, "deterministic mode keeps GEMMs serial");
             use rayon::prelude::*;
             let v_ro: &[f32] = v;
@@ -673,16 +607,6 @@ fn run_images_f32(
                     c,
                     bp,
                 );
-                if let Some(observer) = obs.as_deref_mut() {
-                    observer.after_gemm(
-                        &u[k * o * c..(k + 1) * o * c],
-                        &v[k * c * bp..(k + 1) * c * bp],
-                        &mut prod[k * o * bp..(k + 1) * o * bp],
-                        o,
-                        c,
-                        bp,
-                    );
-                }
             }
         }
 
@@ -935,11 +859,12 @@ pub(crate) fn store_output_tile<T: Copy>(
 /// Reusable scratch buffers for the quantized winograd kernel.
 ///
 /// The quantized kernel streams every primitive operation through an
-/// instrumented [`Arithmetic`] backend, so its loop structure is part of the
-/// experiment (the op sequence determines where faults land) — but its
-/// scratch allocation is not. This object hoists every buffer out of the
-/// per-tile/per-channel loops; it grows on demand and can be reused across
-/// layers and images.
+/// instrumented [`wgft_faultsim::Arithmetic`] backend, so its loop
+/// structure is part of the experiment (the op sequence determines where
+/// faults land) — but its scratch allocation is not. This object hoists
+/// every buffer out of the per-tile/per-channel loops; it grows on demand
+/// and can be reused across layers and images (pass it to
+/// [`crate::winograd_conv_quantized_with_scratch`]).
 #[derive(Debug, Clone, Default)]
 pub struct WinogradScratch {
     /// Transformed input tiles for all channels, `(C, t, t)`.
@@ -981,84 +906,11 @@ fn resize_fill(buf: &mut Vec<i64>, len: usize) {
     buf.resize(len, 0);
 }
 
-/// A planned quantized winograd convolution: pre-quantized winograd-domain
-/// weights plus owned scratch, executable against any [`Arithmetic`] backend.
-///
-/// The per-call [`crate::winograd_conv_quantized`] entry point wraps this; a
-/// long-lived `PreparedConvQuantized` additionally reuses its scratch across
-/// images, which is what the fault-injection campaigns want.
-#[derive(Debug, Clone)]
-pub struct PreparedConvQuantized {
-    plan: WinogradPlan,
-    weights: WinogradWeights,
-    scratch: WinogradScratch,
-}
-
-impl PreparedConvQuantized {
-    /// Wrap pre-quantized winograd weights for the given shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WinogradError::UnsupportedGeometry`] for unsupported layers
-    /// and [`WinogradError::BufferSizeMismatch`] if the weights disagree with
-    /// the shape's channel counts.
-    pub fn new(weights: WinogradWeights, shape: &ConvShape) -> Result<Self, WinogradError> {
-        let plan = WinogradPlan::new(shape, weights.variant())?;
-        if weights.out_channels() != shape.out_channels
-            || weights.in_channels() != shape.in_channels
-        {
-            return Err(WinogradError::BufferSizeMismatch {
-                what: "winograd weight",
-                expected: shape.out_channels * shape.in_channels,
-                actual: weights.out_channels() * weights.in_channels(),
-            });
-        }
-        Ok(Self {
-            plan,
-            weights,
-            scratch: WinogradScratch::new(),
-        })
-    }
-
-    /// The plan geometry.
-    #[must_use]
-    pub fn plan(&self) -> &WinogradPlan {
-        &self.plan
-    }
-
-    /// The cached winograd-domain weights.
-    #[must_use]
-    pub fn weights(&self) -> &WinogradWeights {
-        &self.weights
-    }
-
-    /// Execute the convolution through `arith`, attributing operations to
-    /// `layer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WinogradError::BufferSizeMismatch`] on a wrong input length.
-    pub fn execute<A: Arithmetic>(
-        &mut self,
-        arith: &mut A,
-        layer: usize,
-        input: &[i32],
-    ) -> Result<Vec<i64>, WinogradError> {
-        crate::conv_winograd::winograd_conv_quantized_with_scratch(
-            arith,
-            layer,
-            input,
-            &self.weights,
-            &self.plan.shape,
-            &mut self.scratch,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conv_standard::direct_conv_f32;
+    use crate::conv_winograd::WinogradWeights;
     use crate::transform::{F2X2_3X3, F4X4_3X3, F6X6_3X3};
     use wgft_tensor::ConvGeometry;
 
@@ -1184,8 +1036,11 @@ mod tests {
     #[test]
     fn planned_quantized_matches_direct_across_shape_grid() {
         use crate::conv_standard::direct_conv_quantized;
+        use crate::conv_winograd::winograd_conv_quantized_with_scratch;
         use wgft_faultsim::ExactArithmetic;
 
+        // One scratch arena reused across every shape and variant.
+        let mut scratch = WinogradScratch::new();
         for variant in [F2X2_3X3, F4X4_3X3, F6X6_3X3] {
             let scale = i32::try_from(variant.weight_divisor()).unwrap();
             for &(in_c, out_c) in &[(1usize, 1usize), (2, 3)] {
@@ -1223,9 +1078,16 @@ mod tests {
                             }
                         }
                         let wino = WinogradWeights::new(variant, out_c, in_c, u_q).unwrap();
-                        let mut prepared = PreparedConvQuantized::new(wino, &shape).unwrap();
                         let mut exact2 = ExactArithmetic::new();
-                        let out = prepared.execute(&mut exact2, 0, &input_q).unwrap();
+                        let out = winograd_conv_quantized_with_scratch(
+                            &mut exact2,
+                            0,
+                            &input_q,
+                            &wino,
+                            &shape,
+                            &mut scratch,
+                        )
+                        .unwrap();
                         assert_eq!(
                             direct, out,
                             "{variant} c{in_c}->{out_c} s{size} p{pad}: quantized mismatch"
@@ -1233,7 +1095,15 @@ mod tests {
 
                         // Scratch reuse across images must not leak state.
                         let mut exact3 = ExactArithmetic::new();
-                        let again = prepared.execute(&mut exact3, 0, &input_q).unwrap();
+                        let again = winograd_conv_quantized_with_scratch(
+                            &mut exact3,
+                            0,
+                            &input_q,
+                            &wino,
+                            &shape,
+                            &mut scratch,
+                        )
+                        .unwrap();
                         assert_eq!(out, again);
                     }
                 }
@@ -1245,7 +1115,22 @@ mod tests {
     fn prepared_quantized_validates_channel_mismatch() {
         let shape = ConvShape::new(2, 3, ConvGeometry::square(4, 3, 1, 1));
         let weights = WinogradWeights::new(F2X2_3X3, 1, 1, vec![0; 16]).unwrap();
-        assert!(PreparedConvQuantized::new(weights, &shape).is_err());
+        let input = vec![0i32; shape.input_len()];
+        let result = crate::conv_winograd::winograd_conv_quantized_with_scratch(
+            &mut wgft_faultsim::ExactArithmetic::new(),
+            0,
+            &input,
+            &weights,
+            &shape,
+            &mut WinogradScratch::new(),
+        );
+        assert!(matches!(
+            result,
+            Err(WinogradError::BufferSizeMismatch {
+                what: "winograd weight",
+                ..
+            })
+        ));
     }
 
     #[test]

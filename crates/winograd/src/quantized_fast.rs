@@ -41,8 +41,8 @@ use wgft_tensor::gemm_i32;
 /// for on the classic small tiles: F(4x4,3x3) row coefficient sums reach 10,
 /// so a two-sided transform scales magnitudes by at most 100 — `2²⁴ · 100 <
 /// 2³¹`. The engine itself enforces the tighter per-variant
-/// [`WinogradVariant::max_fast_input`] (F(6x6)'s scaled transforms amplify
-/// by 5184); quantized activations are bounded by the storage width
+/// [`crate::WinogradVariant::max_fast_input`] (F(6x6)'s scaled transforms
+/// amplify by 5184); quantized activations are bounded by the storage width
 /// (`< 2¹⁶`), leaving ample headroom for every tile size.
 pub const MAX_FAST_INPUT: i32 = 1 << 24;
 
